@@ -61,8 +61,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkMitigateThroughput' -benchtime 1x .
 
 # bench-core: the state-graph engine microbenchmarks (build vs the
-# brute-force reference, allocation-free Step) plus the par dispatch
-# bench. BENCH_core.json holds the recorded baseline.
+# brute-force reference, allocation-free Step, edge vs Walsh–Hadamard
+# Step on a dense graph) plus the par dispatch bench. BENCH_core.json holds the recorded baseline.
 bench-core:
 	$(GO) test -run '^$$' -bench 'StateGraph|BenchmarkMitigate$$' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'ForEachTinyTasks' -benchmem ./internal/par
@@ -100,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQASM$$' -fuzztime 5s ./internal/qasm
 	$(GO) test -run '^$$' -fuzz '^FuzzDistFromCounts$$' -fuzztime 5s ./internal/bitstring
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileReplay$$' -fuzztime 5s ./internal/statevector
+	$(GO) test -run '^$$' -fuzz '^FuzzMitigate$$' -fuzztime 5s ./internal/core
 
 # obs-smoke: end-to-end observability check. The built qbeep-trace
 # analyzes the golden pipeline fixture (aggregate table, critical path,

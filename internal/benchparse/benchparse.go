@@ -223,6 +223,12 @@ var KnownRatios = map[string]RatioDef{
 		Slow: "BenchmarkMitigate/V1e5",
 		Fast: "BenchmarkMitigate/V1e5_topk8",
 	},
+	// One flow iteration on the same dense BV-style graph through the
+	// edge form and through the Walsh–Hadamard form the cost rule picks.
+	"step_wht_speedup_dense": {
+		Slow: "BenchmarkStateGraphStep/dense_n15_lambda2.6_edges",
+		Fast: "BenchmarkStateGraphStep/dense_n15_lambda2.6",
+	},
 }
 
 // KnownAllocInvariants maps derived allocs-per-op keys to the benchmark

@@ -276,8 +276,16 @@ func TestMitigateTrackedTrace(t *testing.T) {
 func TestMitigateValidation(t *testing.T) {
 	raw := bitstring.NewDist(3)
 	raw.Add(0, 10)
-	if _, err := Mitigate(raw, -1, NewOptions()); err == nil {
-		t.Error("negative lambda should error")
+	for _, lambda := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := Mitigate(raw, lambda, NewOptions()); err == nil {
+			t.Errorf("lambda %v should error", lambda)
+		}
+	}
+	huge := bitstring.NewDist(3)
+	huge.Add(1, math.MaxFloat64)
+	huge.Add(2, math.MaxFloat64)
+	if _, err := Mitigate(huge, 1, NewOptions()); err == nil {
+		t.Error("an overflowing counts total should error")
 	}
 	bad := NewOptions()
 	bad.Iterations = 0

@@ -67,7 +67,7 @@ type Stats struct {
 func (g *StateGraph) Stats() Stats {
 	return Stats{
 		Vertices:    len(g.nodes),
-		Edges:       len(g.edges),
+		Edges:       g.numEdges,
 		PrunedEdges: g.pruned,
 		Radius:      g.radius,
 		Total:       g.total,

@@ -27,9 +27,9 @@ package core
 //     identical to the serial O(V²) scan for any strategy, any
 //     partitioning, and any worker count.
 //
-// The seed's serial scan survives below as bruteScanEdges: the randomized
-// equivalence tests use it as the oracle, and BenchmarkBuildStateGraphBrute
-// measures the engine against it.
+// The seed's serial scan survives in the tests as bruteScanEdges: the
+// randomized equivalence tests use it as the oracle, and
+// BenchmarkBuildStateGraphBrute measures the engine against it.
 
 import (
 	"context"
@@ -56,6 +56,9 @@ const (
 	// scanNone is reported when the graph cannot have edges (radius 0 or
 	// fewer than two vertices).
 	scanNone
+	// scanWHT is reported when the Walsh–Hadamard operator made the scan
+	// unnecessary (edges counted by transform, never materialized).
+	scanWHT
 )
 
 func (s scanStrategy) String() string {
@@ -66,6 +69,8 @@ func (s scanStrategy) String() string {
 		return "sphere"
 	case scanNone:
 		return "none"
+	case scanWHT:
+		return "wht"
 	default:
 		return "auto"
 	}
@@ -694,28 +699,4 @@ func sortPacked(s []uint64) {
 		}
 		s[j+1] = v
 	}
-}
-
-// bruteScanEdges is the seed's serial O(V²) pairwise scan, kept verbatim
-// as the reference implementation. It deliberately re-derives every
-// per-pair quantity through the EdgeWeighter the way the original code
-// did, so it stays an independent oracle for the engine above.
-func bruteScanEdges(vals []bitstring.BitString, n, radius int, w EdgeWeighter, eps float64) ([]edge, int) {
-	var edges []edge
-	var pruned int
-	for i := 0; i < len(vals); i++ {
-		for j := i + 1; j < len(vals); j++ {
-			d := bitstring.Hamming(vals[i], vals[j])
-			if d > radius {
-				continue
-			}
-			wt := w.Weight(d)
-			if wt < eps {
-				pruned++
-				continue
-			}
-			edges = append(edges, edge{a: i, b: j, weight: wt / float64(bitstring.SphereSize(n, d))})
-		}
-	}
-	return edges, pruned
 }

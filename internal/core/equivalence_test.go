@@ -254,22 +254,26 @@ func TestCSRAdjacencyConsistent(t *testing.T) {
 	}
 }
 
-// TestStepAllocationFree pins the scratch-reuse contract: after the
-// first call, the 20-iteration mitigation loop allocates nothing.
+// TestStepAllocationFree pins the scratch-reuse contract for both
+// operator forms: after the first call, the 20-iteration mitigation loop
+// allocates nothing.
 func TestStepAllocationFree(t *testing.T) {
 	raw := uniformDist(10, 300, 41)
-	g, err := BuildStateGraph(raw, PoissonEdges{Lambda: 1.5}, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() == 0 {
-		t.Fatal("want a non-trivial graph")
-	}
-	g.Step(1) // warm the scratch
-	if n := testing.AllocsPerRun(100, func() {
-		g.Step(0.5)
-	}); n != 0 {
-		t.Fatalf("Step allocates %v per op after warm-up", n)
+	for _, form := range []operatorForm{opEdges, opWHT} {
+		g, err := BuildStateGraph(raw, PoissonEdges{Lambda: 1.5}, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumEdges() == 0 {
+			t.Fatal("want a non-trivial graph")
+		}
+		forceForm(g, form)
+		g.Step(1) // warm the scratch
+		if n := testing.AllocsPerRun(100, func() {
+			g.Step(0.5)
+		}); n != 0 {
+			t.Fatalf("form=%s: Step allocates %v per op after warm-up", form, n)
+		}
 	}
 }
 

@@ -176,8 +176,11 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 	if counts == nil || counts.Support() == 0 {
 		return nil, nil, fmt.Errorf("core: empty counts")
 	}
-	if lambda < 0 {
-		return nil, nil, fmt.Errorf("core: negative lambda %v", lambda)
+	if t := counts.Total(); math.IsInf(t, 0) || math.IsNaN(t) {
+		return nil, nil, fmt.Errorf("core: counts total %v is not finite", t)
+	}
+	if lambda < 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		return nil, nil, fmt.Errorf("core: lambda %v must be finite and >= 0", lambda)
 	}
 	if opts.LearningRate == nil {
 		opts.LearningRate = func(i int) float64 { return 1 / float64(i) }
@@ -194,7 +197,9 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 	// /metrics (_window_worst) names the trace to inspect in qbeep-trace.
 	traceID := obs.TraceIDFrom(ctx)
 	stop := metMitigate.Start()
-	g, err := buildStateGraphCtx(ctx, counts, w, opts.Epsilon, opts.BuildWorkers, scanAuto, opts.TopK)
+	// The loop only iterates, so the build may skip the edge scan when the
+	// Walsh–Hadamard operator is chosen (needEdges false).
+	g, err := buildStateGraphCtx(ctx, counts, w, opts.Epsilon, opts.BuildWorkers, scanAuto, opts.TopK, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -222,6 +227,7 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 		isp.SetAttr("flow_moved", last.FlowMoved)
 		isp.SetAttr("l1_delta", last.L1Delta)
 		isp.SetAttr("step_hellinger", last.Hellinger)
+		isp.SetAttr("clamped", last.Clamped)
 		converged := opts.ConvergeTol > 0 && last.Hellinger <= opts.ConvergeTol && i < opts.Iterations
 		if converged {
 			isp.SetAttr("converged", true)
@@ -274,6 +280,7 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 	sp.SetAttr("iterations", executed)
 	sp.SetAttr("iterations_saved", saved)
 	sp.SetAttr("vertices", g.NumVertices())
+	sp.SetAttr("operator", g.op.String())
 	sp.SetAttr("hellinger_shift", shift)
 	if opts.OnQuality != nil {
 		q := QualityStats{

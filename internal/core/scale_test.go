@@ -88,7 +88,7 @@ func TestTopKGraphStructure(t *testing.T) {
 	for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere} {
 		for _, w := range workerMatrix(t) {
 			label := fmt.Sprintf("topk strat=%s workers=%d", strat, w)
-			g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, eps, w, strat, k)
+			g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, eps, w, strat, k, true)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

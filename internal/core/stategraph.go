@@ -105,17 +105,23 @@ type edge struct {
 //
 // The adjacency is laid out in CSR form (adjStart/adjEdges) and the Step
 // working set lives in a reusable scratch struct, so the 20-iteration
-// mitigation loop is allocation-free after the first call.
+// mitigation loop is allocation-free after the first call. A graph built
+// for mitigation alone may carry no edge list at all: when the cost rule
+// picks the Walsh–Hadamard operator (operator.go), only the exact edge
+// count is kept.
 type StateGraph struct {
 	n          int
 	nodes      []node
 	edges      []edge
 	adjStart   []int32 // CSR row offsets: vertex i's incident edges are adjEdges[adjStart[i]:adjStart[i+1]]
 	adjEdges   []int32 // flat incident-edge indices, ascending within each vertex
+	numEdges   int     // exact edge count; len(edges) whenever the edges are materialized
 	total      float64
 	radius     int
-	selfWeight float64 // model weight at distance 0 (the "stay" term)
-	pruned     int     // candidate pairs within the scan radius dropped by the ε threshold
+	selfWeight float64   // model weight at distance 0 (the "stay" term)
+	kernel     []float64 // stored edge weight by distance (weightTable.perString)
+	pruned     int       // candidate pairs within the scan radius dropped by the ε threshold
+	op         operatorForm
 	scratch    stepScratch
 }
 
@@ -265,22 +271,29 @@ func (g *StateGraph) sparsifyTopK(k int) int {
 // so the edge array — and every downstream Step — never depends on
 // scheduling.
 func BuildStateGraphWorkers(counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int) (*StateGraph, error) {
-	return buildStateGraphCtx(context.Background(), counts, w, eps, workers, scanAuto, 0)
+	return buildStateGraphCtx(context.Background(), counts, w, eps, workers, scanAuto, 0, true)
 }
 
 // BuildStateGraphCtx is BuildStateGraphWorkers with trace-context
 // propagation: the "core.graph.build" span becomes a child of the span
 // active in ctx, and the parallel edge scan's worker spans parent under
-// it.
+// it. The edges are always materialized (for WriteDOT and edge-level
+// inspection); Step on the returned graph picks the same operator form
+// Mitigate does, so iterating it reproduces Mitigate bit for bit.
 func BuildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int) (*StateGraph, error) {
-	return buildStateGraphCtx(ctx, counts, w, eps, workers, scanAuto, 0)
+	return buildStateGraphCtx(ctx, counts, w, eps, workers, scanAuto, 0, true)
 }
 
 func buildStateGraph(counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int, strat scanStrategy) (*StateGraph, error) {
-	return buildStateGraphCtx(context.Background(), counts, w, eps, workers, strat, 0)
+	return buildStateGraphCtx(context.Background(), counts, w, eps, workers, strat, 0, true)
 }
 
-func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int, strat scanStrategy, topK int) (*StateGraph, error) {
+// buildStateGraphCtx builds the graph and fixes its operator form. With
+// needEdges false (the mitigation loop, which only iterates), a graph
+// the cost rule sends to the Walsh–Hadamard form skips the edge scan: its
+// exact edge and pruned counts come from the support's pair-count
+// transform instead, so every count it reports is the scan's.
+func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int, strat scanStrategy, topK int, needEdges bool) (*StateGraph, error) {
 	if err := validateBuild(counts, w, eps); err != nil {
 		return nil, err
 	}
@@ -293,18 +306,22 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	// shells are the largest by far. Edges are unaffected (those shells
 	// cannot produce any); only the pruned tally narrows its scope.
 	g.radius = tab.effectiveRadius()
-	var used scanStrategy
-	var deg []int32
-	g.edges, deg, g.pruned, used = scanEdges(ctx, vals, g.n, g.radius, tab, workers, strat)
-	g.buildCSRCounted(deg)
-	dropped := 0
-	if topK > 0 {
-		dropped = g.sparsifyTopK(topK)
+	g.kernel = tab.perString[:g.radius+1]
+	used, dropped := scanWHT, 0
+	if needEdges || !g.countForWHT(vals, topK > 0) {
+		var deg []int32
+		g.edges, deg, g.pruned, used = scanEdges(ctx, vals, g.n, g.radius, tab, workers, strat)
+		g.buildCSRCounted(deg)
+		if topK > 0 {
+			dropped = g.sparsifyTopK(topK)
+		}
+		g.numEdges = len(g.edges)
+		g.op = chooseOperator(g.n, g.numEdges, topK > 0)
 	}
 	elapsed := time.Since(t0) //qbeep:allow-time span/metric timing, not kernel state
 	metGraphBuild.ObserveDuration(elapsed)
 	metGraphVerts.Set(float64(len(g.nodes)))
-	metGraphEdges.Set(float64(len(g.edges)))
+	metGraphEdges.Set(float64(g.numEdges))
 	metGraphPruned.Set(float64(g.pruned))
 	metGraphRadius.Set(float64(g.radius))
 	switch used {
@@ -314,9 +331,10 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 		metGraphScanBucket.Inc()
 	}
 	sp.SetAttr("vertices", len(g.nodes))
-	sp.SetAttr("edges", len(g.edges))
+	sp.SetAttr("edges", g.numEdges)
 	sp.SetAttr("pruned", g.pruned)
 	sp.SetAttr("strategy", used.String())
+	sp.SetAttr("operator", g.op.String())
 	if topK > 0 {
 		sp.SetAttr("top_k", topK)
 		sp.SetAttr("edges_dropped", dropped)
@@ -327,31 +345,43 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	// when debug logging is off (the default).
 	if l := obs.Logger(); l.Enabled(ctx, slog.LevelDebug) {
 		l.Debug("state graph built",
-			"vertices", len(g.nodes), "edges", len(g.edges), "pruned", g.pruned,
-			"radius", g.radius, "width", g.n, "strategy", used.String(),
+			"vertices", len(g.nodes), "edges", g.numEdges, "pruned", g.pruned,
+			"radius", g.radius, "width", g.n, "strategy", used.String(), "operator", g.op.String(),
 			"top_k", topK, "edges_dropped", dropped, "elapsed", elapsed)
 	}
 	return g, nil
 }
 
-// buildStateGraphBrute runs the seed's serial O(V²) reference scan (see
-// bruteScanEdges). Kept as the oracle for the equivalence tests and the
-// baseline for BenchmarkBuildStateGraphBrute.
-func buildStateGraphBrute(counts *bitstring.Dist, w EdgeWeighter, eps float64) (*StateGraph, error) {
-	if err := validateBuild(counts, w, eps); err != nil {
-		return nil, err
+// countForWHT settles the operator form before any edge is built. When
+// the cost rule already rejects the Walsh–Hadamard form at an upper bound
+// on E it returns false without allocating; otherwise it counts the exact
+// edges and pruned pairs by transform and, if the rule still picks the
+// Walsh–Hadamard form at the exact E, records them and returns true.
+func (g *StateGraph) countForWHT(vals []bitstring.BitString, topK bool) bool {
+	if chooseOperator(g.n, edgeUpperBound(g.n, len(vals), g.radius), topK) != opWHT {
+		return false
 	}
-	g, vals := initStateGraph(counts, w, eps)
-	g.edges, g.pruned = bruteScanEdges(vals, g.n, g.radius, w, eps)
-	g.buildCSR()
-	return g, nil
+	pairs := pairCounts(vals, g.n)
+	edges, pruned := 0, 0
+	for d := 1; d <= g.radius; d++ {
+		if g.kernel[d] != 0 {
+			edges += int(pairs[d])
+		} else {
+			pruned += int(pairs[d])
+		}
+	}
+	if chooseOperator(g.n, edges, topK) != opWHT {
+		return false
+	}
+	g.numEdges, g.pruned, g.op = edges, pruned, opWHT
+	return true
 }
 
 // NumVertices returns the vertex count.
 func (g *StateGraph) NumVertices() int { return len(g.nodes) }
 
 // NumEdges returns the edge count.
-func (g *StateGraph) NumEdges() int { return len(g.edges) }
+func (g *StateGraph) NumEdges() int { return g.numEdges }
 
 // Radius returns the maximum Hamming distance spanned by edges: the
 // largest shell whose model weight passes the ε threshold.
@@ -427,31 +457,31 @@ func hellingerFromFidelity(f float64) float64 {
 //
 //qbeep:pooled
 type stepScratch struct {
-	prob, z, outflow, inflow, scale, delta []float64 // per vertex
-	flowAB, flowBA                         []float64 // per edge
+	prob, z, r, wr, outflow, scale []float64 // per vertex
+	cube                           []float64 // 2ⁿ transform buffer (Walsh–Hadamard form only)
+	spectrum                       []float64 // kernel eigenvalues by popcount, /2ⁿ (Walsh–Hadamard form only)
 }
 
-func (s *stepScratch) ensure(nV, nE int) {
+func (s *stepScratch) ensure(g *StateGraph) {
+	nV := len(g.nodes)
 	if cap(s.prob) < nV {
 		s.prob = make([]float64, nV)
 		s.z = make([]float64, nV)
+		s.r = make([]float64, nV)
+		s.wr = make([]float64, nV)
 		s.outflow = make([]float64, nV)
-		s.inflow = make([]float64, nV)
 		s.scale = make([]float64, nV)
-		s.delta = make([]float64, nV)
 	}
 	s.prob = s.prob[:nV]
 	s.z = s.z[:nV]
+	s.r = s.r[:nV]
+	s.wr = s.wr[:nV]
 	s.outflow = s.outflow[:nV]
-	s.inflow = s.inflow[:nV]
 	s.scale = s.scale[:nV]
-	s.delta = s.delta[:nV]
-	if cap(s.flowAB) < nE {
-		s.flowAB = make([]float64, nE)
-		s.flowBA = make([]float64, nE)
+	if g.op == opWHT && s.spectrum == nil {
+		s.cube = make([]float64, 1<<uint(g.n))
+		s.spectrum = kernelSpectrum(g.n, g.kernel)
 	}
-	s.flowAB = s.flowAB[:nE]
-	s.flowBA = s.flowBA[:nE]
 }
 
 // Step performs one reclassification iteration with learning rate eta
@@ -473,6 +503,12 @@ func (s *stepScratch) ensure(nV, nE int) {
 // dominant string hands essentially all of its counts over — the behavior
 // §5 of the paper describes.
 //
+// The per-edge flows never materialize. With Z = w_0·P + W·P and
+// r_A = η·count_A / Z_A, A's outflow is r_A·(W·P)_A and its inflow
+// P_A·(W·r)_A, so one Step is two products with the weight matrix W
+// (operator.go), plus a third, W·(r∘scale), only when the overflow cap
+// binds.
+//
 // All working vectors live in the graph's scratch struct: after the first
 // call, Step allocates nothing (pinned by TestStepAllocationFree).
 //
@@ -484,75 +520,58 @@ func (g *StateGraph) Step(eta float64) StepStats {
 	if g.total <= 0 {
 		return StepStats{}
 	}
-	g.scratch.ensure(len(g.nodes), len(g.edges))
+	g.scratch.ensure(g)
 	s := &g.scratch
-	prob := s.prob
+	prob, z, r, wr, outflow, scale := s.prob, s.z, s.r, s.wr, s.outflow, s.scale
+	w0 := g.selfWeight
+	// Posterior normalizer per node: Z_A = w_0·P_A + Σ w_AC·P_C.
 	for i := range g.nodes {
 		prob[i] = g.nodes[i].count / g.total
+		z[i] = w0 * prob[i]
 	}
-	// Posterior normalizer per node: Z_A = w_0·P_A + Σ w_AC·P_C.
-	z := s.z
-	for i := range z {
-		z[i] = g.selfWeight * prob[i]
-	}
-	for _, e := range g.edges {
-		z[e.a] += e.weight * prob[e.b]
-		z[e.b] += e.weight * prob[e.a]
-	}
-	outflow, inflow := s.outflow, s.inflow
-	for i := range outflow {
-		outflow[i] = 0
-		inflow[i] = 0
-	}
-	flowAB, flowBA := s.flowAB, s.flowBA
-	for ei, e := range g.edges {
-		var fab, fba float64
-		if z[e.a] > 0 {
-			fab = eta * g.nodes[e.a].count * e.weight * prob[e.b] / z[e.a]
-			outflow[e.a] += fab
-			inflow[e.b] += fab
+	g.apply(prob, z)
+	for i := range r {
+		r[i] = 0
+		if z[i] > 0 {
+			r[i] = eta * g.nodes[i].count / z[i]
 		}
-		if z[e.b] > 0 {
-			fba = eta * g.nodes[e.b].count * e.weight * prob[e.a] / z[e.b]
-			outflow[e.b] += fba
-			inflow[e.a] += fba
-		}
-		flowAB[ei] = fab
-		flowBA[ei] = fba
+		outflow[i] = r[i] * (z[i] - w0*prob[i])
+		wr[i] = 0
 	}
+	g.apply(r, wr)
 	// Reclassification overflow: cap outflow at count + inflow (paper
 	// Algorithm 1). With eta <= 1 the posterior normalization already
 	// keeps outflow <= count, so the cap only binds in ablations.
-	scale := s.scale
+	capped := false
 	for i := range scale {
 		scale[i] = 1
-		if limit := g.nodes[i].count + inflow[i]; outflow[i] > limit && outflow[i] > 0 {
+		if limit := g.nodes[i].count + prob[i]*wr[i]; outflow[i] > limit && outflow[i] > 0 {
 			scale[i] = limit / outflow[i]
+			capped = true
 		}
 	}
-	delta := s.delta
-	for i := range delta {
-		delta[i] = 0
+	if capped {
+		for i := range r {
+			r[i] *= scale[i]
+			wr[i] = 0
+		}
+		g.apply(r, wr)
 	}
-	var st StepStats
-	for ei, e := range g.edges {
-		fab := flowAB[ei] * scale[e.a]
-		fba := flowBA[ei] * scale[e.b]
-		delta[e.a] += fba - fab
-		delta[e.b] += fab - fba
-		st.FlowMoved += fab + fba
-	}
-	// The apply pass also accumulates the Bhattacharyya overlap between
+	// The update pass also accumulates the Bhattacharyya overlap between
 	// the pre- and post-step counts, yielding the per-iteration Hellinger
 	// delta (the Options.ConvergeTol signal) without a second scan. It
 	// only reads the counts, so the update itself stays bit-identical to
 	// the fixed-schedule path.
+	var st StepStats
 	prevTotal := g.total
 	var bcSum float64
 	g.total = 0
 	for i := range g.nodes {
-		c := g.nodes[i].count + delta[i]
+		out := scale[i] * outflow[i]
+		st.FlowMoved += out
+		c := g.nodes[i].count + (prob[i]*wr[i] - out)
 		if c < 0 {
+			st.Clamped -= c
 			c = 0
 		}
 		if d := c - g.nodes[i].count; d >= 0 {
@@ -588,6 +607,10 @@ type StepStats struct {
 	// normalized distributions — the per-iteration delta that
 	// Options.ConvergeTol compares against for adaptive early exit.
 	Hellinger float64
+	// Clamped is the mass the update removed by flooring negative counts
+	// at zero (0 unless an overflow-capped or roundoff-negative update
+	// drove a vertex below zero).
+	Clamped float64
 }
 
 // Vertices returns the observed strings sorted ascending (testing/debug).

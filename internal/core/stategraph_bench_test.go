@@ -141,21 +141,37 @@ func BenchmarkMitigate(b *testing.B) {
 
 // BenchmarkStateGraphStep measures one reclassification iteration on a
 // warm graph; allocs/op must report 0 (scratch reuse, pinned by
-// TestStepAllocationFree).
+// TestStepAllocationFree). The V* rows are sparse uniform corpora, where
+// the cost rule keeps the edge form. The dense rows run a BV-style
+// corpus — one secret string under Poisson bit-flip noise at the rate of
+// BV-14 on istanbul, 32768 shots, E ≈ 1.9M — through the form the cost
+// rule picks (Walsh–Hadamard) and through the edge form on the same
+// graph; their quotient is the step_wht_speedup_dense ratio bench-gate
+// tracks.
 func BenchmarkStateGraphStep(b *testing.B) {
 	for _, c := range benchGraphConfigs {
 		b.Run(fmt.Sprintf("V%d/lambda%g", c.v, c.lambda), func(b *testing.B) {
-			raw := benchGraphDist(c.v)
-			g, err := BuildStateGraph(raw, PoissonEdges{Lambda: c.lambda}, 0.05)
-			if err != nil {
-				b.Fatal(err)
-			}
-			g.Step(1) // warm the scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.Step(0.5)
-			}
+			benchStep(b, benchGraphDist(c.v), c.lambda, opAuto)
 		})
 	}
+	dense := poissonCounts(15, 0b101101001110101, 2.6, 32768, 99)
+	b.Run("dense_n15_lambda2.6", func(b *testing.B) { benchStep(b, dense, 2.6, opAuto) })
+	b.Run("dense_n15_lambda2.6_edges", func(b *testing.B) { benchStep(b, dense, 2.6, opEdges) })
+}
+
+func benchStep(b *testing.B, raw *bitstring.Dist, lambda float64, form operatorForm) {
+	g, err := BuildStateGraph(raw, PoissonEdges{Lambda: lambda}, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if form != opAuto {
+		forceForm(g, form)
+	}
+	g.Step(1) // warm the scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Step(0.5)
+	}
+	b.ReportMetric(float64(g.NumEdges()), "edges")
 }
