@@ -104,8 +104,9 @@ fuzz-smoke:
 
 # obs-smoke: end-to-end observability check. The built qbeep-trace
 # analyzes the golden pipeline fixture (aggregate table, critical path,
-# Chrome export), then scripts/obssmoke scrapes /healthz and /metrics
-# from a throwaway debug server on an ephemeral port.
+# Chrome export), scripts/obssmoke scrapes /healthz and /metrics from a
+# throwaway debug server on an ephemeral port, and a traced figure run
+# must come out as one span tree joined to its run-ledger records.
 obs-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/qbeep-trace ./cmd/qbeep-trace; \
@@ -118,7 +119,8 @@ obs-smoke:
 	grep -q 'hotspots by self-CPU' $$tmp/hotspots.txt; \
 	grep -q 'hotspots by self-allocations' $$tmp/hotspots.txt; \
 	grep -q 'adaptive early exit: 17 flow iterations saved' $$tmp/hotspots.txt; \
-	$(GO) run ./scripts/obssmoke
+	$(GO) run ./scripts/obssmoke; \
+	$(GO) test -count=1 -run '^TestTracedFigureIsOneTree$$' ./internal/experiments
 
 # quality-gate: the mitigation-quality regression gate (DESIGN.md §16).
 # A small deterministic slice of the Fig. 7 experiment runs with

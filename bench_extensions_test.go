@@ -4,6 +4,7 @@ package qbeep
 // optional/extension features beyond the paper's evaluation.
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/algorithms"
@@ -38,11 +39,11 @@ func BenchmarkQuantumVolumeUplift(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			heavy, err := qvolume.HeavySet(c)
+			heavy, err := qvolume.HeavySet(context.Background(), c)
 			if err != nil {
 				b.Fatal(err)
 			}
-			run, err := exec.Execute(c, 2048, rng)
+			run, err := exec.ExecuteCtx(context.Background(), c, 2048, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -50,7 +51,7 @@ func BenchmarkQuantumVolumeUplift(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			mitigated, err := core.Mitigate(run.Counts, lb.Lambda(), core.NewOptions())
+			mitigated, err := core.MitigateCtx(context.Background(), run.Counts, lb.Lambda(), core.NewOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -96,7 +97,7 @@ func BenchmarkZNEComposition(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			run, err := exec.Execute(folded, 4096, rng)
+			run, err := exec.ExecuteCtx(context.Background(), folded, 4096, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -144,11 +145,11 @@ func BenchmarkLayoutSearch(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var pst float64
 			for i := 0; i < b.N; i++ {
-				res, err := transpile.SearchLayout(w.Circuit, bk, tc.trials, 7)
+				res, err := transpile.SearchLayout(context.Background(), w.Circuit, bk, tc.trials, 7)
 				if err != nil {
 					b.Fatal(err)
 				}
-				run, err := exec.ExecuteTranspiled(w.Circuit, res, 4096, mathx.NewRNG(5))
+				run, err := exec.ExecuteTranspiledCtx(context.Background(), w.Circuit, res, 4096, mathx.NewRNG(5))
 				if err != nil {
 					b.Fatal(err)
 				}

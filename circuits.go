@@ -1,6 +1,7 @@
 package qbeep
 
 import (
+	"context"
 	"fmt"
 
 	"qbeep/internal/algorithms"
@@ -48,7 +49,7 @@ func SuiteCircuit(name string) (qasmSource string, ideal Counts, dataQubits []in
 	if err != nil {
 		return "", nil, nil, err
 	}
-	idealDist, err := w.IdealDist()
+	idealDist, err := w.IdealDistCtx(context.Background())
 	if err != nil {
 		return "", nil, nil, err
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -91,6 +92,11 @@ func run() error {
 		}
 	}()
 
+	// One root span per run: every figure's experiments.figure span, and
+	// everything its workloads open, parents under it.
+	ctx, sp := obs.Start(context.Background(), "qbeep.experiments")
+	defer sp.End()
+
 	cfg := experiments.Config{
 		Seed:        *seed,
 		Shots:       *shots,
@@ -143,11 +149,11 @@ func run() error {
 	}
 	runners := []runner{
 		{"1", func(c experiments.Config) error {
-			_, err := experiments.Figure1(c)
+			_, err := experiments.Figure1(ctx, c)
 			return err
 		}},
 		{"2", func(c experiments.Config) error {
-			res, err := experiments.Figure2(c)
+			res, err := experiments.Figure2(ctx, c)
 			if err != nil {
 				return err
 			}
@@ -161,21 +167,21 @@ func run() error {
 			})
 		}},
 		{"4", func(c experiments.Config) error {
-			res, err := experiments.Figure4(c)
+			res, err := experiments.Figure4(ctx, c)
 			if err != nil {
 				return err
 			}
 			return dump("4", res.WriteCSV)
 		}},
 		{"6", func(c experiments.Config) error {
-			res, err := experiments.Figure6(c)
+			res, err := experiments.Figure6(ctx, c)
 			if err != nil {
 				return err
 			}
 			return dump("6", res.WriteCSV)
 		}},
 		{"7", func(c experiments.Config) error {
-			res, err := experiments.Figure7(c)
+			res, err := experiments.Figure7(ctx, c)
 			if err != nil {
 				return err
 			}
@@ -185,7 +191,7 @@ func run() error {
 	// Figures 8, 9 and 11 share one sweep; run it once if any is selected.
 	if selected["8"] || selected["9"] || selected["11"] {
 		runners = append(runners, runner{"8/9/11", func(c experiments.Config) error {
-			res, err := experiments.RunQASMBench(c)
+			res, err := experiments.RunQASMBench(ctx, c)
 			if err != nil {
 				return err
 			}
@@ -197,14 +203,14 @@ func run() error {
 		selected["8/9/11"] = true
 	}
 	runners = append(runners, runner{"10", func(c experiments.Config) error {
-		res, err := experiments.Figure10(c)
+		res, err := experiments.Figure10(ctx, c)
 		if err != nil {
 			return err
 		}
 		return dump("10", res.WriteCSV)
 	}})
 	runners = append(runners, runner{"ablations", func(c experiments.Config) error {
-		_, err := experiments.Ablations(c)
+		_, err := experiments.Ablations(ctx, c)
 		return err
 	}})
 

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,7 @@ import (
 
 func main() {
 	rng := mathx.NewRNG(11)
-	instances, err := qaoa.Dataset(8, 6, 10, 2, rng)
+	instances, err := qaoa.Dataset(context.Background(), 8, 6, 10, 2, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestBernsteinVaziraniRecoversSecret(t *testing.T) {
 		if !w.Deterministic || w.Expected != secret {
 			t.Fatalf("n=%d: workload metadata wrong", n)
 		}
-		ideal, err := w.IdealDist()
+		ideal, err := w.IdealDistCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +60,7 @@ func TestRandomizedBenchmarkingIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ideal, err := w.IdealDist()
+		ideal, err := w.IdealDistCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestSuiteAllBuildAndSimulate(t *testing.T) {
 		if w.Circuit.Err() != nil {
 			t.Fatalf("%s: circuit error %v", e.Name, w.Circuit.Err())
 		}
-		ideal, err := w.IdealDist()
+		ideal, err := w.IdealDistCtx(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
@@ -130,7 +131,7 @@ func TestDeterministicBenchmarks(t *testing.T) {
 		if !w.Deterministic {
 			t.Errorf("%s should be deterministic", name)
 		}
-		ideal, _ := w.IdealDist()
+		ideal, _ := w.IdealDistCtx(context.Background())
 		if !approx(ideal.Prob(w.Expected), 1, 1e-9) {
 			t.Errorf("%s: P(expected)=%v", name, ideal.Prob(w.Expected))
 		}
@@ -166,7 +167,7 @@ func TestWStateUniformWeightOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := w.IdealDist()
+	ideal, err := w.IdealDistCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestWStateUniformWeightOne(t *testing.T) {
 
 func TestQRNGMaxEntropy(t *testing.T) {
 	w, _ := QRNG()
-	ideal, _ := w.IdealDist()
+	ideal, _ := w.IdealDistCtx(context.Background())
 	if !approx(ideal.Entropy(), 4, 1e-9) {
 		t.Errorf("qrng entropy %v want 4", ideal.Entropy())
 	}
@@ -196,7 +197,7 @@ func TestQFTMaxEntropy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, _ := w.IdealDist()
+	ideal, _ := w.IdealDistCtx(context.Background())
 	if !approx(ideal.Entropy(), 4, 1e-6) {
 		t.Errorf("qft entropy %v want 4", ideal.Entropy())
 	}
@@ -204,7 +205,7 @@ func TestQFTMaxEntropy(t *testing.T) {
 
 func TestCatStateEntropyOne(t *testing.T) {
 	w, _ := CatState()
-	ideal, _ := w.IdealDist()
+	ideal, _ := w.IdealDistCtx(context.Background())
 	if !approx(ideal.Entropy(), 1, 1e-9) {
 		t.Errorf("cat entropy %v want 1", ideal.Entropy())
 	}
@@ -221,7 +222,7 @@ func TestEntropySpreadAcrossSuite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ideal, err := w.IdealDist()
+		ideal, err := w.IdealDistCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,11 +255,11 @@ func TestControlledPhaseDecomposition(t *testing.T) {
 	for _, g := range b.Gates {
 		pb.Append(g)
 	}
-	sa, err := statevector.Run(pa)
+	sa, err := statevector.RunConfiguredCtx(context.Background(), pa, 0, statevector.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := statevector.Run(pb)
+	sb, err := statevector.RunConfiguredCtx(context.Background(), pb, 0, statevector.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestMCXTruthTable(t *testing.T) {
 		if err := mcx(c, ctrls, target, ancillas); err != nil {
 			t.Fatal(err)
 		}
-		s, err := statevector.Run(c)
+		s, err := statevector.RunConfiguredCtx(context.Background(), c, 0, statevector.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestMCXSmallArities(t *testing.T) {
 	if err := mcx(c, nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	s, _ := statevector.Run(c)
+	s, _ := statevector.RunConfiguredCtx(context.Background(), c, 0, statevector.RunConfig{})
 	if s.Prob(1) != 1 {
 		t.Error("0-control mcx should be X")
 	}
@@ -64,7 +65,7 @@ func TestGroverFindsMarkedState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		ideal, err := w.IdealDist()
+		ideal, err := w.IdealDistCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestGroverAncillasReturnToZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := statevector.IdealDist(w.Circuit)
+	full, err := statevector.IdealDistCtx(context.Background(), w.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestQPEExactPhase(t *testing.T) {
 	if !w.Deterministic || w.Expected != 3 {
 		t.Fatalf("metadata: deterministic=%v expected=%b", w.Deterministic, w.Expected)
 	}
-	ideal, err := w.IdealDist()
+	ideal, err := w.IdealDistCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestQPEInexactPhasePeaks(t *testing.T) {
 	if w.Deterministic {
 		t.Error("inexact phase should not be deterministic")
 	}
-	ideal, err := w.IdealDist()
+	ideal, err := w.IdealDistCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestQPEAllExactPhases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ideal, err := w.IdealDist()
+		ideal, err := w.IdealDistCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

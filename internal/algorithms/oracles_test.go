@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ func TestDeutschJozsaConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := w.IdealDist()
+	ideal, err := w.IdealDistCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestDeutschJozsaBalanced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ideal, err := w.IdealDist()
+		ideal, err := w.IdealDistCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestSimonOutputsOrthogonalToPeriod(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d s=%b: %v", tc.n, tc.s, err)
 		}
-		ideal, err := w.IdealDist()
+		ideal, err := w.IdealDistCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestSimonEntropyBetweenBVAndQRNG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := w.IdealDist()
+	ideal, err := w.IdealDistCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestExtendedSuite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		if _, err := w.IdealDist(); err != nil {
+		if _, err := w.IdealDistCtx(context.Background()); err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
 )
 
@@ -40,7 +41,7 @@ func Adder() (*Workload, error) {
 	c.CX(2, 0)     // sum = cin ^ a ^ b (into q0)
 	c.CX(1, 2)     // restore b
 	c.MeasureAll()
-	return deterministicWorkload(c)
+	return deterministicWorkload(c, 0b1110) // q0=sum=0, q1=a, q2=b, q3=cout=1
 }
 
 // Toffoli is the 3-qubit Toffoli demonstration (toffoli_n3): both
@@ -48,7 +49,7 @@ func Adder() (*Workload, error) {
 func Toffoli() (*Workload, error) {
 	c := circuit.New("toffoli-n3", 3)
 	c.X(0).X(1).Barrier().CCX(0, 1, 2).MeasureAll()
-	return deterministicWorkload(c)
+	return deterministicWorkload(c, 0b111)
 }
 
 // Fredkin is the 3-qubit controlled-swap demonstration (fredkin_n3):
@@ -56,7 +57,7 @@ func Toffoli() (*Workload, error) {
 func Fredkin() (*Workload, error) {
 	c := circuit.New("fredkin-n3", 3)
 	c.X(0).X(1).Barrier().CSWAP(0, 1, 2).MeasureAll()
-	return deterministicWorkload(c)
+	return deterministicWorkload(c, 0b101)
 }
 
 // HS4 is the 4-qubit hidden-shift circuit (hs4_n4): H layer, a
@@ -78,7 +79,7 @@ func HS4() (*Workload, error) {
 		c.H(q)
 	}
 	c.MeasureAll()
-	return deterministicWorkload(c)
+	return deterministicWorkload(c, 0b1011)
 }
 
 // CatState is the 4-qubit GHZ/cat preparation (cat_state_n4): entropy
@@ -259,23 +260,15 @@ func workload(c *circuit.Circuit) (*Workload, error) {
 	return &Workload{Circuit: c, DataQubits: allQubits(c.N)}, nil
 }
 
-// deterministicWorkload is workload plus verification that the ideal
-// output is a single bit-string, recorded as Expected.
-func deterministicWorkload(c *circuit.Circuit) (*Workload, error) {
+// deterministicWorkload is workload plus the circuit's single ideal
+// output, recorded as Expected (TestDeterministicBenchmarks checks it
+// against the simulator).
+func deterministicWorkload(c *circuit.Circuit, expected bitstring.BitString) (*Workload, error) {
 	w, err := workload(c)
 	if err != nil {
 		return nil, err
 	}
-	ideal, err := w.IdealDist()
-	if err != nil {
-		return nil, err
-	}
-	if ideal.Support() != 1 {
-		return nil, fmt.Errorf("algorithms: %s expected deterministic output, support %d",
-			c.Name, ideal.Support())
-	}
-	top, _ := ideal.Top()
-	w.Expected = top
+	w.Expected = expected
 	w.Deterministic = true
 	return w, nil
 }

@@ -1,25 +1,29 @@
 // Package ctxflow enforces the context-plumbing convention from
 // DESIGN.md §10: context.Background() and context.TODO() are roots that
 // detach work from cancellation, so they may only be minted at the
-// process edge. Inside the library they are allowed in exactly one
-// shape — the documented Background-wrapper shim, a non-Ctx function
-// whose body hands the fresh root straight to its Ctx variant:
+// process edge. Inside the library every operation has one function,
+// the one taking a ctx; the public module-root package (qbeep) alone
+// keeps context-free convenience functions, each a documented
+// Background-wrapper shim — a non-Ctx function that hands the fresh
+// root straight to a Ctx variant:
 //
-//	func (t *TrajectorySampler) Sample(...) (...) {
-//	    return t.SampleCtx(context.Background(), ...)
+//	func Mitigate(counts Counts, lambda float64, opts Options) (Counts, error) {
+//	    return MitigateCtx(context.Background(), counts, lambda, opts)
 //	}
 //
-// Everything else is a flag: a Background() minted inside a function
-// that already receives a context (it must thread the received ctx
-// through), a Background() assigned to a variable or passed to a
-// non-Ctx callee (cancellation silently severed mid-pipeline), or a
-// Ctx-suffixed function minting its own root. Package main (the cmd/
-// binaries) is the process edge and is exempt wholesale; test files are
-// never loaded by the driver.
+// Everything else is a flag: the same shim anywhere under internal/ (a
+// context-free twin re-added beside its Ctx variant), a Background()
+// minted inside a function that already receives a context (it must
+// thread the received ctx through), a Background() assigned to a
+// variable or passed to a non-Ctx callee (cancellation silently severed
+// mid-pipeline), or a Ctx-suffixed function minting its own root.
+// Package main (the cmd/ binaries) is the process edge and is exempt
+// wholesale; test files are never loaded by the driver.
 //
 // //qbeep:allow-ctx suppresses a deliberate root with a rationale —
-// the obs shutdown timeout and the nil-ctx normalization in the tracer
-// are the two sanctioned cases.
+// the obs debug-server shutdown deadline and qasm.Parse (kept
+// context-free for the end-to-end benchmark harness) are the two
+// sanctioned cases.
 package ctxflow
 
 import (
@@ -30,12 +34,16 @@ import (
 	"qbeep/internal/analysis"
 )
 
+// RootPackage is the import path of the module-root package, the only
+// library package whose Background-wrapper shims are accepted.
+const RootPackage = "qbeep"
+
 // Analyzer is the ctxflow checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc: "context.Background()/TODO() only at the process edge (package main) or as the direct " +
-		"argument of a Background-wrapper shim forwarding to the Ctx variant; functions that " +
-		"receive a context must thread it through",
+	Doc: "context.Background()/TODO() only at the process edge (package main) or, in the module-root " +
+		"package, as the direct argument of a Background-wrapper shim forwarding to the Ctx variant; " +
+		"functions that receive a context must thread it through",
 	Run: run,
 }
 
@@ -84,7 +92,7 @@ func walk(pass *analysis.Pass, n ast.Node, stack *[]funcFrame, parent map[ast.No
 }
 
 // checkRoot decides whether one context.Background()/TODO() call is the
-// sanctioned wrapper-shim shape.
+// sanctioned wrapper-shim shape in the module-root package.
 func checkRoot(pass *analysis.Pass, call *ast.CallExpr, which string, stack []funcFrame, parent map[ast.Node]ast.Node) {
 	// Received-context rule: any enclosing function (closure or decl)
 	// already holding a ctx must thread it, never mint a root.
@@ -96,7 +104,8 @@ func checkRoot(pass *analysis.Pass, call *ast.CallExpr, which string, stack []fu
 		}
 	}
 	// Wrapper-shim rule: the root must be a direct argument of a call to
-	// a Ctx-suffixed callee, from a non-Ctx-suffixed named function.
+	// a Ctx-suffixed callee, from a non-Ctx-suffixed named function in
+	// the module-root package.
 	encl := ""
 	for i := len(stack) - 1; i >= 0; i-- {
 		if stack[i].name != "" {
@@ -106,14 +115,19 @@ func checkRoot(pass *analysis.Pass, call *ast.CallExpr, which string, stack []fu
 	}
 	if outer, ok := parent[call].(*ast.CallExpr); ok && strings.HasSuffix(calleeName(outer), "Ctx") {
 		if encl != "" && !strings.HasSuffix(encl, "Ctx") {
-			return // the documented Background-wrapper shim
+			if pass.Pkg.Path() == RootPackage {
+				return // the documented Background-wrapper shim
+			}
+			pass.Report(call.Pos(), "ctx",
+				"context.%s() in a Background-wrapper shim outside the module-root package: keep only the Ctx variant and thread the caller's ctx (//qbeep:allow-ctx to override)", which)
+			return
 		}
 		pass.Report(call.Pos(), "ctx",
 			"context.%s() forwarded to a Ctx variant from %q, which is itself a Ctx variant: accept and thread a ctx parameter instead (//qbeep:allow-ctx to override)", which, encl)
 		return
 	}
 	pass.Report(call.Pos(), "ctx",
-		"context.%s() outside package main and outside a Background-wrapper shim: accept a ctx parameter or forward directly to the Ctx variant (//qbeep:allow-ctx to override)", which)
+		"context.%s() outside package main and outside a Background-wrapper shim: accept a ctx parameter (//qbeep:allow-ctx to override)", which)
 }
 
 // backgroundOrTODO returns "Background" or "TODO" when call is that

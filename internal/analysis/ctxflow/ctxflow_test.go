@@ -8,5 +8,5 @@ import (
 )
 
 func TestCtxflow(t *testing.T) {
-	analysistest.Run(t, ctxflow.Analyzer, "a", "cmdfix")
+	analysistest.Run(t, ctxflow.Analyzer, "a", "cmdfix", "qbeep")
 }

@@ -1,6 +1,6 @@
-// Package a exercises the ctxflow rules: wrapper shims pass, every
-// other Background()/TODO() root is flagged, and received contexts must
-// be threaded.
+// Package a exercises the ctxflow rules outside the module-root
+// package: every Background()/TODO() root is flagged — wrapper shims
+// included — and received contexts must be threaded.
 package a
 
 import "context"
@@ -11,15 +11,16 @@ func (s *sampler) SampleCtx(ctx context.Context, n int) int { _ = ctx; return n 
 
 func runCtx(ctx context.Context, n int) int { _ = ctx; return n }
 
-// Sample is the sanctioned Background-wrapper shim: non-Ctx name, root
-// passed directly to the Ctx variant.
+// Sample has the Background-wrapper shim shape (non-Ctx name, root
+// passed directly to the Ctx variant), which only the module-root
+// package may use: here it is a context-free twin to delete.
 func (s *sampler) Sample(n int) int {
-	return s.SampleCtx(context.Background(), n)
+	return s.SampleCtx(context.Background(), n) // want `context\.Background\(\) in a Background-wrapper shim outside the module-root package`
 }
 
-// Run is a sanctioned shim over a plain function.
+// Run is the same shim over a plain function.
 func Run(n int) int {
-	return runCtx(context.Background(), n)
+	return runCtx(context.Background(), n) // want `context\.Background\(\) in a Background-wrapper shim outside the module-root package`
 }
 
 // stash assigns the root to a variable first — not a shim.

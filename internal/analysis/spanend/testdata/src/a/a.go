@@ -1,4 +1,5 @@
-// Package a exercises the span lifecycle checker.
+// Package a exercises the span lifecycle checker on the two-value
+// obs.Start(ctx, name) form.
 package a
 
 import (
@@ -10,13 +11,14 @@ import (
 
 var errFail = errors.New("fail")
 
-func leakNoEnd() {
-	sp := obs.StartSpan("leak") // want `never ended`
+func leakNoEnd(ctx context.Context) {
+	ctx, sp := obs.Start(ctx, "leak") // want `never ended`
 	sp.SetAttr("k", 1)
+	_ = ctx
 }
 
-func leakEarlyReturn(fail bool) error {
-	sp := obs.StartSpan("early")
+func leakEarlyReturn(ctx context.Context, fail bool) error {
+	_, sp := obs.Start(ctx, "early")
 	if fail {
 		return errFail // want `return without ending span`
 	}
@@ -24,25 +26,26 @@ func leakEarlyReturn(fail bool) error {
 	return nil
 }
 
-func discardedStmt() {
-	obs.StartSpan("discard") // want `discarded`
+func discardedStmt(ctx context.Context) {
+	obs.Start(ctx, "discard") // want `discarded`
 }
 
-func discardedBlank() {
-	_ = obs.StartSpan("blank") // want `discarded`
+func discardedBlank(ctx context.Context) {
+	_, _ = obs.Start(ctx, "blank") // want `discarded`
 }
 
-func okDefer(fail bool) error {
-	sp := obs.StartSpan("defer")
+func okDefer(ctx context.Context, fail bool) error {
+	ctx, sp := obs.Start(ctx, "defer")
 	defer sp.End()
+	_ = ctx
 	if fail {
 		return errFail
 	}
 	return nil
 }
 
-func okDeferClosure(fail bool) error {
-	sp := obs.StartSpan("closure")
+func okDeferClosure(ctx context.Context, fail bool) error {
+	_, sp := obs.Start(ctx, "closure")
 	defer func() {
 		sp.SetAttr("failed", fail)
 		sp.End()
@@ -53,14 +56,14 @@ func okDeferClosure(fail bool) error {
 	return nil
 }
 
-func okStraightLine() {
-	sp := obs.StartSpan("line")
+func okStraightLine(ctx context.Context) {
+	_, sp := obs.Start(ctx, "line")
 	sp.SetAttr("k", 2)
 	sp.End()
 }
 
-func okEndBeforeEveryReturn(fail bool) error {
-	sp := obs.StartSpan("explicit")
+func okEndBeforeEveryReturn(ctx context.Context, fail bool) error {
+	_, sp := obs.Start(ctx, "explicit")
 	if fail {
 		sp.End()
 		return errFail
@@ -69,80 +72,29 @@ func okEndBeforeEveryReturn(fail bool) error {
 	return nil
 }
 
-func allowedLeak() {
-	sp := obs.StartSpan("handed-off") //qbeep:allow-spanleak fixture: deliberately leaked
+func allowedLeak(ctx context.Context) {
+	_, sp := obs.Start(ctx, "handed-off") //qbeep:allow-spanleak fixture: deliberately leaked
 	sp.SetAttr("k", 3)
 }
 
 // escaping spans are the callee's responsibility, not flagged here.
-func escapes() obs.Span {
-	sp := obs.StartSpan("escape")
+func escapes(ctx context.Context) obs.Span {
+	_, sp := obs.Start(ctx, "escape")
 	return sp
 }
 
-func passedAlong(finish func(obs.Span)) {
-	sp := obs.StartSpan("passed")
+func passedAlong(ctx context.Context, finish func(obs.Span)) {
+	_, sp := obs.Start(ctx, "passed")
 	finish(sp)
 }
 
-// --- two-value obs.Start(ctx, name) form ---
-
-func ctxLeakNoEnd(ctx context.Context) {
-	ctx, sp := obs.Start(ctx, "ctx-leak") // want `never ended`
-	sp.SetAttr("k", 1)
-	_ = ctx
-}
-
-func ctxLeakEarlyReturn(ctx context.Context, fail bool) error {
-	_, sp := obs.Start(ctx, "ctx-early")
-	if fail {
-		return errFail // want `return without ending span`
-	}
-	sp.End()
-	return nil
-}
-
-func ctxDiscardedStmt(ctx context.Context) {
-	obs.Start(ctx, "ctx-discard") // want `discarded`
-}
-
-func ctxDiscardedBlank(ctx context.Context) {
-	_, _ = obs.Start(ctx, "ctx-blank") // want `discarded`
-}
-
-func ctxOKDefer(ctx context.Context, fail bool) error {
-	ctx, sp := obs.Start(ctx, "ctx-defer")
-	defer sp.End()
-	_ = ctx
-	if fail {
-		return errFail
-	}
-	return nil
-}
-
-func ctxOKEndBeforeEveryReturn(ctx context.Context, fail bool) error {
-	_, sp := obs.Start(ctx, "ctx-explicit")
-	if fail {
-		sp.End()
-		return errFail
-	}
-	sp.End()
-	return nil
-}
-
 // The flags helper is a method named Start returning no span: not ours.
-func ctxNotASpanStart(f *obs.TraceFlags) error {
+func notASpanStart(f *obs.TraceFlags) error {
 	stop, err := f.Start()
 	if err != nil {
 		return err
 	}
 	return stop()
-}
-
-// escaping spans stay the callee's responsibility in the ctx form too.
-func ctxEscapes(ctx context.Context) obs.Span {
-	_, sp := obs.Start(ctx, "ctx-escape")
-	return sp
 }
 
 // --- resource-capture era idioms: per-iteration child spans, worker

@@ -1,5 +1,5 @@
 // Package obs is a stub of the real observability package: spanend
-// matches StartSpan by the import-path base "obs", so the fixtures can
+// matches Start by the import-path base "obs", so the fixtures can
 // exercise the analyzer without importing the module tree.
 package obs
 
@@ -8,12 +8,6 @@ import "context"
 // Span mirrors the value-type span of the real package.
 type Span struct {
 	ended bool
-}
-
-// StartSpan begins a span.
-func StartSpan(name string) Span {
-	_ = name
-	return Span{}
 }
 
 // SetAttr attaches an attribute.

@@ -1,6 +1,7 @@
 package clifford
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -168,7 +169,7 @@ func TestTableauAgreesWithStatevector(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, init := range []bitstring.BitString{0, 0b1010, 0b1111} {
-			s, err := statevector.RunFrom(c, init)
+			s, err := statevector.RunConfiguredCtx(context.Background(), c, init, statevector.RunConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func dotGraph(t *testing.T) *StateGraph {
 	d.Add(0b000, 80)
 	d.Add(0b001, 12)
 	d.Add(0b011, 8)
-	g, err := BuildStateGraph(d, PoissonEdges{Lambda: 1}, 0.05)
+	g, err := BuildStateGraphCtx(context.Background(), d, PoissonEdges{Lambda: 1}, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

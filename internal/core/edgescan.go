@@ -1,6 +1,6 @@
 package core
 
-// Edge discovery for the state graph. BuildStateGraph's pair scan is the
+// Edge discovery for the state graph. BuildStateGraphCtx's pair scan is the
 // innermost loop of the whole pipeline — it runs once per mitigation,
 // thousands of times per figure corpus — so it gets an engine of its own:
 //
@@ -496,7 +496,7 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 		for i := 0; i < workers; i++ {
 			pool <- &scanScratch{hits: make([]uint64, 0, hitCap)}
 		}
-		par.ForEachCtx(ctx, len(tasks), workers, func(ti int) error {
+		_, _ = par.ForEach(ctx, len(tasks), workers, func(_ context.Context, ti int) error {
 			t := tasks[ti]
 			s := <-pool
 			s.hits = s.hits[:0]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -16,7 +17,7 @@ type EnsembleMember struct {
 	Lambda float64
 }
 
-// MitigateEnsemble applies Q-BEEP to each member and merges the mitigated
+// MitigateEnsembleCtx applies Q-BEEP to each member and merges the mitigated
 // distributions with quality weights w_i = e^(-λ_i): members whose model
 // predicts fewer failure events contribute more. This implements the
 // composition the paper sketches in §3.5 (Quancorde-style ensembles
@@ -25,8 +26,9 @@ type EnsembleMember struct {
 // cleans each one first.
 //
 // The returned distribution is normalized to the mean member total, so it
-// remains comparable to a single induction's counts.
-func MitigateEnsemble(members []EnsembleMember, opts Options) (*bitstring.Dist, error) {
+// remains comparable to a single induction's counts. Each member's
+// "core.mitigate" span parents under the fan-out's worker span in ctx.
+func MitigateEnsembleCtx(ctx context.Context, members []EnsembleMember, opts Options) (*bitstring.Dist, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: empty ensemble")
 	}
@@ -50,8 +52,8 @@ func MitigateEnsemble(members []EnsembleMember, opts Options) (*bitstring.Dist, 
 	// member order, so the result is identical to a serial loop
 	// regardless of GOMAXPROCS.
 	mitigated := make([]*bitstring.Dist, len(members))
-	if err := par.ForEach(len(members), 0, func(i int) error {
-		out, err := Mitigate(members[i].Counts, members[i].Lambda, opts)
+	if _, err := par.ForEach(ctx, len(members), 0, func(ctx context.Context, i int) error {
+		out, err := MitigateCtx(ctx, members[i].Counts, members[i].Lambda, opts)
 		if err != nil {
 			return fmt.Errorf("core: ensemble member %d: %w", i, err)
 		}

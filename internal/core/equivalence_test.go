@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -146,7 +147,7 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 			for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere} {
 				for _, w := range workers {
 					label := fmt.Sprintf("n=%d %s strat=%s workers=%d", c.n, kind, strat, w)
-					g, err := buildStateGraph(raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat)
+					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat, 0, true)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -173,7 +174,7 @@ func TestScanMatchesOracleHAMMERWeighter(t *testing.T) {
 	}
 	var ref *StateGraph
 	for _, strat := range []scanStrategy{scanBucket, scanSphere} {
-		g, err := buildStateGraph(raw, InverseDistanceEdges{}, 0.05, 4, strat)
+		g, err := buildStateGraphCtx(context.Background(), raw, InverseDistanceEdges{}, 0.05, 4, strat, 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func TestMitigateIdenticalAcrossWorkers(t *testing.T) {
 
 		for _, w := range workerMatrix(t) {
 			opts.BuildWorkers = w
-			out, err := Mitigate(raw, c.lambda, opts)
+			out, err := MitigateCtx(context.Background(), raw, c.lambda, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +229,7 @@ func TestMitigateIdenticalAcrossWorkers(t *testing.T) {
 // ascending, and degrees sum to 2E.
 func TestCSRAdjacencyConsistent(t *testing.T) {
 	raw := uniformDist(10, 250, 31)
-	g, err := BuildStateGraph(raw, PoissonEdges{Lambda: 1.5}, 0.05)
+	g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestCSRAdjacencyConsistent(t *testing.T) {
 func TestStepAllocationFree(t *testing.T) {
 	raw := uniformDist(10, 300, 41)
 	for _, form := range []operatorForm{opEdges, opWHT} {
-		g, err := BuildStateGraph(raw, PoissonEdges{Lambda: 1.5}, 0.05)
+		g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +284,7 @@ func TestGraphFidelityMatchesDistSnapshot(t *testing.T) {
 	raw := poissonCounts(8, 0b10110100, 1.5, 3000, 51)
 	ideal := bitstring.NewDist(8)
 	ideal.Add(0b10110100, 1)
-	g, err := BuildStateGraph(raw, PoissonEdges{Lambda: 1.5}, 0.05)
+	g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

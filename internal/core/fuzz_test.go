@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -56,7 +57,7 @@ func FuzzMitigate(f *testing.F) {
 			o.OnIteration = func(IterationStats) { iters++ }
 			withOperator(t, form, func() {
 				var err error
-				if out, err = Mitigate(d, lambda, o); err != nil {
+				if out, err = MitigateCtx(context.Background(), d, lambda, o); err != nil {
 					t.Fatalf("form=%s: %v", form, err)
 				}
 			})

@@ -39,7 +39,7 @@ type IterationStats struct {
 // hands to Options.OnQuality: the Hamming-spectrum quality block of a
 // runledger.Record (DESIGN.md §16), computed once after the final
 // iteration. The ground-truth fields are populated only on tracked
-// runs (MitigateTracked); spectra are centered on the ideal mode when
+// runs (MitigateTrackedCtx); spectra are centered on the ideal mode when
 // one is known, else on the raw mode.
 type QualityStats struct {
 	// HellingerShift is H(raw, mitigated): how far induction moved the
@@ -79,7 +79,7 @@ type Options struct {
 	// dampened 1/i schedule that prevents cycling between local nodes.
 	LearningRate func(i int) float64
 	// Weighter is the edge model; nil selects PoissonEdges with the λ
-	// passed to Mitigate.
+	// passed to MitigateCtx.
 	Weighter EdgeWeighter
 	// OnIteration, when non-nil, receives one IterationStats per update
 	// round. Per-iteration wall clocks are only taken when set, so the
@@ -136,35 +136,24 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// Mitigate runs Q-BEEP over raw counts with the pre-induction rate λ and
-// returns the mitigated distribution (same total mass, re-normalized).
-func Mitigate(counts *bitstring.Dist, lambda float64, opts Options) (*bitstring.Dist, error) {
-	out, _, err := mitigateCtx(context.Background(), counts, lambda, opts, nil)
-	return out, err
-}
-
-// MitigateCtx is Mitigate with trace-context propagation: the
-// "core.mitigate" span (and its graph-build and per-iteration children)
-// parent under the span active in ctx.
+// MitigateCtx runs Q-BEEP over raw counts with the pre-induction rate λ
+// and returns the mitigated distribution (same total mass,
+// re-normalized). The "core.mitigate" span (and its graph-build and
+// per-iteration children) parent under the span active in ctx.
 func MitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, opts Options) (*bitstring.Dist, error) {
 	out, _, err := mitigateCtx(ctx, counts, lambda, opts, nil)
 	return out, err
 }
 
-// MitigateTracked is Mitigate plus the per-iteration fidelity trace
-// against the supplied ideal distribution (Fig. 7(c)). trace[0] is the
-// pre-mitigation fidelity; trace[i] the fidelity after iteration i.
+// MitigateTrackedCtx is MitigateCtx plus the per-iteration fidelity
+// trace against the supplied ideal distribution (Fig. 7(c)). trace[0] is
+// the pre-mitigation fidelity; trace[i] the fidelity after iteration i.
 // Tracked runs additionally record the per-iteration Hellinger distance
 // to ideal into the "core.mitigate.hellinger" histogram and onto the
 // iteration spans, so convergence is observable without a callback.
-func MitigateTracked(counts *bitstring.Dist, lambda float64, opts Options, ideal *bitstring.Dist) (*bitstring.Dist, []float64, error) {
-	return MitigateTrackedCtx(context.Background(), counts, lambda, opts, ideal)
-}
-
-// MitigateTrackedCtx is MitigateTracked with trace-context propagation.
 func MitigateTrackedCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, opts Options, ideal *bitstring.Dist) (*bitstring.Dist, []float64, error) {
 	if ideal == nil {
-		return nil, nil, fmt.Errorf("core: MitigateTracked requires an ideal distribution")
+		return nil, nil, fmt.Errorf("core: MitigateTrackedCtx requires an ideal distribution")
 	}
 	return mitigateCtx(ctx, counts, lambda, opts, ideal)
 }

@@ -76,7 +76,7 @@ const whtButterflyPerEdge = 0.5
 // It reads only properties of the input, is monotone in edges (so an
 // upper bound on E that picks the edge form settles the choice without
 // counting), and is deterministic, which is what keeps
-// BuildStateGraphCtx + Step bitwise equal to Mitigate.
+// BuildStateGraphCtx + Step bitwise equal to MitigateCtx.
 func chooseOperator(n, edges int, topK bool) operatorForm {
 	if topK || n > whtMaxWidth {
 		return opEdges // top-k breaks the distance-only structure

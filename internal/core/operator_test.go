@@ -77,7 +77,7 @@ func TestOperatorFormsMatchOracle(t *testing.T) {
 	for _, c := range operatorCases() {
 		for sname, eta := range schedules {
 			build := func() *StateGraph {
-				g, err := BuildStateGraph(c.raw, c.w, 0.05)
+				g, err := BuildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,7 +147,7 @@ func TestMitigateBitwiseMatchesBuildAndStep(t *testing.T) {
 		opts := NewOptions()
 		var edges []int
 		opts.OnIteration = func(s IterationStats) { edges = append(edges, s.Edges) }
-		got, err := Mitigate(c.raw, c.lambda, opts)
+		got, err := MitigateCtx(context.Background(), c.raw, c.lambda, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestPairCountsMatchScan(t *testing.T) {
 	}
 	withOperator(t, opWHT, func() {
 		for i, c := range cases {
-			scanned, err := BuildStateGraph(c.raw, c.w, 0.05)
+			scanned, err := BuildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,7 +46,7 @@ func TestScanMatchesBruteOracleWide(t *testing.T) {
 			for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere} {
 				for _, w := range workers {
 					label := fmt.Sprintf("n=%d %s strat=%s workers=%d", c.n, kind, strat, w)
-					g, err := buildStateGraph(raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat)
+					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat, 0, true)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -70,7 +70,7 @@ func TestScanMatchesBruteOracleWide(t *testing.T) {
 func TestTopKGraphStructure(t *testing.T) {
 	raw := uniformDist(12, 500, 77)
 	const lambda, eps, k = 1.5, 0.05, 4
-	exact, err := BuildStateGraph(raw, PoissonEdges{Lambda: lambda}, eps)
+	exact, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, eps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTopKAdaptiveIdenticalAcrossWorkers(t *testing.T) {
 	var ref *bitstring.Dist
 	for _, w := range workerMatrix(t) {
 		opts.BuildWorkers = w
-		out, err := Mitigate(raw, 1.5, opts)
+		out, err := MitigateCtx(context.Background(), raw, 1.5, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestTopKHellingerBound(t *testing.T) {
 	const n, lambda, k = 12, 1.5, 8
 	for _, seed := range []uint64{301, 302, 303, 304, 305} {
 		raw := poissonCounts(n, bitstring.BitString(0xb52)&(1<<uint(n)-1), lambda, 6000, seed)
-		g, err := BuildStateGraph(raw, PoissonEdges{Lambda: lambda}, 0.05)
+		g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, 0.05, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,13 +172,13 @@ func TestTopKHellingerBound(t *testing.T) {
 		if maxDeg <= k {
 			t.Fatalf("seed %d: corpus too sparse (max degree %d) for a meaningful top-%d cut", seed, maxDeg, k)
 		}
-		exact, err := Mitigate(raw, lambda, NewOptions())
+		exact, err := MitigateCtx(context.Background(), raw, lambda, NewOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts := NewOptions()
 		opts.TopK = k
-		got, err := Mitigate(raw, lambda, opts)
+		got, err := MitigateCtx(context.Background(), raw, lambda, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestTopKHellingerBound(t *testing.T) {
 // the default configuration bitwise.
 func TestConvergeTolZeroBitwise(t *testing.T) {
 	raw := poissonCounts(10, bitstring.BitString(0x2b5), 1.2, 3000, 61)
-	base, err := Mitigate(raw, 1.2, NewOptions())
+	base, err := MitigateCtx(context.Background(), raw, 1.2, NewOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestConvergeTolZeroBitwise(t *testing.T) {
 	opts.ConvergeTol = 0
 	iters := 0
 	opts.OnIteration = func(IterationStats) { iters++ }
-	got, err := Mitigate(raw, 1.2, opts)
+	got, err := MitigateCtx(context.Background(), raw, 1.2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestConvergeTolEarlyExit(t *testing.T) {
 	opts.ConvergeTol = 0.01
 	var stats []IterationStats
 	opts.OnIteration = func(s IterationStats) { stats = append(stats, s) }
-	ref, err := Mitigate(raw, 1.2, opts)
+	ref, err := MitigateCtx(context.Background(), raw, 1.2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestConvergeTolEarlyExit(t *testing.T) {
 	opts.OnIteration = nil
 	for _, w := range workerMatrix(t) {
 		opts.BuildWorkers = w
-		out, err := Mitigate(raw, 1.2, opts)
+		out, err := MitigateCtx(context.Background(), raw, 1.2, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestConvergeTolEarlyExit(t *testing.T) {
 // accumulation against the definitionally-correct two-snapshot form.
 func TestStepHellingerMatchesSnapshot(t *testing.T) {
 	raw := poissonCounts(8, 0b10110100, 1.5, 3000, 71)
-	g, err := BuildStateGraph(raw, PoissonEdges{Lambda: 1.5}, 0.05)
+	g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: 1.5}, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

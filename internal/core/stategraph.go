@@ -187,24 +187,6 @@ func (g *StateGraph) buildCSRCounted(counts []int32) {
 	}
 }
 
-// BuildStateGraph constructs the graph from raw counts under the given
-// edge model and threshold. Vertices are created only for observed
-// (non-zero) outcomes, so the graph scales with shots, not with 2^n.
-//
-// Edge creation is thresholded on the model's shell mass w(d) >= ε (the
-// paper's scalability rule), but the stored weight is the per-string
-// likelihood w(d)/C(n,d): the model assigns mass w(d) to the whole
-// distance-d shell, and an individual string is one of C(n,d)
-// equally-likely landing sites. Without this normalization the
-// combinatorially-large middle shells would out-pull the true solution.
-//
-// Discovery is popcount-bucketed (or a Hamming-ball walk on narrow
-// registers) instead of the O(V²) pairwise scan — see edgescan.go — and
-// the output is bit-for-bit identical to that serial scan.
-func BuildStateGraph(counts *bitstring.Dist, w EdgeWeighter, eps float64) (*StateGraph, error) {
-	return BuildStateGraphWorkers(counts, w, eps, 0)
-}
-
 // sparsifyTopK prunes the graph to each vertex's k heaviest incident
 // edges — the opt-in approximation behind Options.TopK. Selection is by
 // (weight descending, canonical edge index ascending), so ties resolve
@@ -264,28 +246,34 @@ func (g *StateGraph) sparsifyTopK(k int) int {
 	return dropped
 }
 
-// BuildStateGraphWorkers is BuildStateGraph with an explicit cap on the
-// edge-scan worker count (<= 0 selects GOMAXPROCS). The result is
-// independent of the worker count: vertex ranges emit their edges in
-// canonical ascending (a, b) order and are concatenated in range order,
-// so the edge array — and every downstream Step — never depends on
-// scheduling.
-func BuildStateGraphWorkers(counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int) (*StateGraph, error) {
-	return buildStateGraphCtx(context.Background(), counts, w, eps, workers, scanAuto, 0, true)
-}
-
-// BuildStateGraphCtx is BuildStateGraphWorkers with trace-context
-// propagation: the "core.graph.build" span becomes a child of the span
-// active in ctx, and the parallel edge scan's worker spans parent under
-// it. The edges are always materialized (for WriteDOT and edge-level
-// inspection); Step on the returned graph picks the same operator form
-// Mitigate does, so iterating it reproduces Mitigate bit for bit.
+// BuildStateGraphCtx constructs the graph from raw counts under the given
+// edge model and threshold. Vertices are created only for observed
+// (non-zero) outcomes, so the graph scales with shots, not with 2^n.
+//
+// Edge creation is thresholded on the model's shell mass w(d) >= ε (the
+// paper's scalability rule), but the stored weight is the per-string
+// likelihood w(d)/C(n,d): the model assigns mass w(d) to the whole
+// distance-d shell, and an individual string is one of C(n,d)
+// equally-likely landing sites. Without this normalization the
+// combinatorially-large middle shells would out-pull the true solution.
+//
+// Discovery is popcount-bucketed (or a Hamming-ball walk on narrow
+// registers) instead of the O(V²) pairwise scan — see edgescan.go — and
+// the output is bit-for-bit identical to that serial scan.
+//
+// workers caps the edge-scan worker count (<= 0 selects GOMAXPROCS). The
+// result is independent of the worker count: vertex ranges emit their
+// edges in canonical ascending (a, b) order and are concatenated in
+// range order, so the edge array — and every downstream Step — never
+// depends on scheduling.
+//
+// The "core.graph.build" span becomes a child of the span active in ctx,
+// and the parallel edge scan's worker spans parent under it. The edges
+// are always materialized (for WriteDOT and edge-level inspection); Step
+// on the returned graph picks the same operator form MitigateCtx does,
+// so iterating it reproduces MitigateCtx bit for bit.
 func BuildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int) (*StateGraph, error) {
 	return buildStateGraphCtx(ctx, counts, w, eps, workers, scanAuto, 0, true)
-}
-
-func buildStateGraph(counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int, strat scanStrategy) (*StateGraph, error) {
-	return buildStateGraphCtx(context.Background(), counts, w, eps, workers, strat, 0, true)
 }
 
 // buildStateGraphCtx builds the graph and fixes its operator form. With

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -56,7 +57,7 @@ func benchBuild(b *testing.B, raw *bitstring.Dist, lambda float64) {
 	b.ResetTimer()
 	var edges int
 	for i := 0; i < b.N; i++ {
-		g, err := BuildStateGraph(raw, PoissonEdges{Lambda: lambda}, 0.05)
+		g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, 0.05, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func BenchmarkMitigate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Mitigate(raw, c.lambda, opts); err != nil {
+				if _, err := MitigateCtx(context.Background(), raw, c.lambda, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -160,7 +161,7 @@ func BenchmarkStateGraphStep(b *testing.B) {
 }
 
 func benchStep(b *testing.B, raw *bitstring.Dist, lambda float64, form operatorForm) {
-	g, err := BuildStateGraph(raw, PoissonEdges{Lambda: lambda}, 0.05)
+	g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, 0.05, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

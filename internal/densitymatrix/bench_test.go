@@ -1,6 +1,7 @@
 package densitymatrix
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/circuit"
@@ -24,7 +25,7 @@ func BenchmarkDensityEvolve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := NewBasis(8, 0)
+		d, err := NewBasis(context.Background(), 8, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package densitymatrix
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -46,6 +47,9 @@ type Density struct {
 	scratch []complex128 // reusable output buffer for out-of-place kernels
 	signs   []float64    // reusable ±1 table for diagonal conjugations
 	workers int          // row shard count; 0 = auto
+	// ctx parents the row-shard fan-outs' worker spans: the context the
+	// matrix was created under (the density executor's span).
+	ctx context.Context
 }
 
 // SetWorkers sets the row shard count: w > 1 shards the kernels over w
@@ -89,7 +93,7 @@ func (d *Density) shard(rows int, fn func(lo, hi int)) {
 		return
 	}
 	chunk := (rows + w - 1) / w
-	_ = par.ForEach(w, w, func(k int) error {
+	_, _ = par.ForEach(d.ctx, w, w, func(_ context.Context, k int) error {
 		lo := k * chunk
 		hi := lo + chunk
 		if hi > rows {
@@ -124,13 +128,14 @@ func (d *Density) ensureScratchAlloc() []complex128 {
 	return d.scratch
 }
 
-// New returns ρ = |0...0⟩⟨0...0|.
-func New(n int) (*Density, error) {
-	return NewBasis(n, 0)
+// New returns ρ = |0...0⟩⟨0...0|. Row-shard fan-outs on the matrix run
+// under ctx.
+func New(ctx context.Context, n int) (*Density, error) {
+	return NewBasis(ctx, n, 0)
 }
 
-// NewBasis returns ρ = |b⟩⟨b|.
-func NewBasis(n int, b bitstring.BitString) (*Density, error) {
+// NewBasis returns ρ = |b⟩⟨b| (see New).
+func NewBasis(ctx context.Context, n int, b bitstring.BitString) (*Density, error) {
 	if n <= 0 || n > MaxQubits {
 		return nil, fmt.Errorf("densitymatrix: width %d outside (0,%d]", n, MaxQubits)
 	}
@@ -138,7 +143,7 @@ func NewBasis(n int, b bitstring.BitString) (*Density, error) {
 	if uint64(b) >= uint64(dim) {
 		return nil, fmt.Errorf("densitymatrix: basis %d outside %d-qubit register", b, n)
 	}
-	d := &Density{n: n, dim: dim, rho: make([]complex128, dim*dim)}
+	d := &Density{n: n, dim: dim, rho: make([]complex128, dim*dim), ctx: ctx}
 	d.rho[int(b)*dim+int(b)] = 1
 	return d, nil
 }

@@ -1,6 +1,7 @@
 package densitymatrix
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -15,16 +16,16 @@ import (
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestNewBounds(t *testing.T) {
-	if _, err := New(0); err == nil {
+	if _, err := New(context.Background(), 0); err == nil {
 		t.Error("zero width should error")
 	}
-	if _, err := New(MaxQubits + 1); err == nil {
+	if _, err := New(context.Background(), MaxQubits+1); err == nil {
 		t.Error("over-max should error")
 	}
-	if _, err := NewBasis(2, 4); err == nil {
+	if _, err := NewBasis(context.Background(), 2, 4); err == nil {
 		t.Error("out-of-range basis should error")
 	}
-	d, err := New(3)
+	d, err := New(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestUnitaryAgreesWithStatevector(t *testing.T) {
 		if c.Err() != nil {
 			t.Fatal(c.Err())
 		}
-		sv, err := statevector.Run(c)
+		sv, err := statevector.RunConfiguredCtx(context.Background(), c, 0, statevector.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dm, err := New(3)
+		dm, err := New(context.Background(), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,11 +101,11 @@ func TestCSWAPMatchesStatevector(t *testing.T) {
 			}
 		}
 		c.CSWAP(0, 1, 2)
-		sv, err := statevector.Run(c)
+		sv, err := statevector.RunConfiguredCtx(context.Background(), c, 0, statevector.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dm, _ := New(3)
+		dm, _ := New(context.Background(), 3)
 		for _, g := range c.Gates {
 			if err := dm.Apply(g); err != nil {
 				t.Fatal(err)
@@ -119,7 +120,7 @@ func TestCSWAPMatchesStatevector(t *testing.T) {
 }
 
 func TestChannelValidation(t *testing.T) {
-	d, _ := New(2)
+	d, _ := New(context.Background(), 2)
 	if err := d.Channel(5, BitFlip(0.1)); err == nil {
 		t.Error("bad qubit should error")
 	}
@@ -151,7 +152,7 @@ func TestAllChannelsComplete(t *testing.T) {
 }
 
 func TestBitFlipProbability(t *testing.T) {
-	d, _ := New(1)
+	d, _ := New(context.Background(), 1)
 	if err := d.Channel(0, BitFlip(0.3)); err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +166,12 @@ func TestBitFlipProbability(t *testing.T) {
 
 func TestAmplitudeDampingDirectional(t *testing.T) {
 	// |1⟩ decays to |0⟩; |0⟩ is a fixed point.
-	d, _ := NewBasis(1, 1)
+	d, _ := NewBasis(context.Background(), 1, 1)
 	d.Channel(0, AmplitudeDamping(0.4))
 	if !approx(d.Prob(0), 0.4, 1e-12) || !approx(d.Prob(1), 0.6, 1e-12) {
 		t.Errorf("decay probs: %v %v", d.Prob(0), d.Prob(1))
 	}
-	d0, _ := New(1)
+	d0, _ := New(context.Background(), 1)
 	d0.Channel(0, AmplitudeDamping(0.4))
 	if !approx(d0.Prob(0), 1, 1e-12) {
 		t.Error("|0⟩ should be fixed under amplitude damping")
@@ -179,7 +180,7 @@ func TestAmplitudeDampingDirectional(t *testing.T) {
 
 func TestPhaseDampingKillsCoherence(t *testing.T) {
 	// H|0⟩ then full dephasing: diagonal stays uniform, off-diagonal dies.
-	d, _ := New(1)
+	d, _ := New(context.Background(), 1)
 	d.Apply(circuit.Gate{Kind: circuit.H, Qubits: []int{0}})
 	if cmplx.Abs(d.At(0, 1)) < 0.49 {
 		t.Fatalf("pre-dephasing coherence %v", d.At(0, 1))
@@ -194,7 +195,7 @@ func TestPhaseDampingKillsCoherence(t *testing.T) {
 }
 
 func TestDepolarizingToMaximallyMixed(t *testing.T) {
-	d, _ := New(1)
+	d, _ := New(context.Background(), 1)
 	d.Apply(circuit.Gate{Kind: circuit.H, Qubits: []int{0}})
 	d.Channel(0, Depolarizing(1))
 	if !approx(d.Purity(), 0.5, 1e-9) {
@@ -218,7 +219,7 @@ func TestChannelPreservesTraceQuick(t *testing.T) {
 		default:
 			kraus = PhaseDamping(p)
 		}
-		d, err := New(2)
+		d, err := New(context.Background(), 2)
 		if err != nil {
 			return false
 		}
@@ -235,7 +236,7 @@ func TestChannelPreservesTraceQuick(t *testing.T) {
 }
 
 func TestDistDiagonal(t *testing.T) {
-	d, _ := New(2)
+	d, _ := New(context.Background(), 2)
 	d.Apply(circuit.Gate{Kind: circuit.H, Qubits: []int{0}})
 	d.Apply(circuit.Gate{Kind: circuit.CX, Qubits: []int{0, 1}})
 	dist := d.Dist()
@@ -248,7 +249,7 @@ func TestDistDiagonal(t *testing.T) {
 }
 
 func TestApplyRejectsUnknownAndInvalid(t *testing.T) {
-	d, _ := New(2)
+	d, _ := New(context.Background(), 2)
 	if err := d.Apply(circuit.Gate{Kind: circuit.H, Qubits: []int{9}}); err == nil {
 		t.Error("bad qubit should error")
 	}
@@ -259,7 +260,7 @@ func TestApplyRejectsUnknownAndInvalid(t *testing.T) {
 
 func BenchmarkBellWithNoise6Q(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := New(6)
+		d, err := New(context.Background(), 6)
 		if err != nil {
 			b.Fatal(err)
 		}

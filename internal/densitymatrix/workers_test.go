@@ -1,6 +1,7 @@
 package densitymatrix
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"strconv"
@@ -44,7 +45,7 @@ func dmWorkerMatrix(t *testing.T) []int {
 func TestDensityDeterministicAcrossWorkers(t *testing.T) {
 	rng := mathx.NewRNG(31)
 	build := func(workers int) *Density {
-		d, err := NewBasis(6, 0)
+		d, err := NewBasis(context.Background(), 6, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

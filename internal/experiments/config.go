@@ -80,7 +80,7 @@ func (c *Config) normalize() error {
 }
 
 // mitigateOptions returns the core options every runner hands to
-// Mitigate: the paper defaults with the config's overrides applied.
+// MitigateCtx: the paper defaults with the config's overrides applied.
 // Ablation rows that sweep these knobs themselves build their own.
 func (c *Config) mitigateOptions() core.Options {
 	opts := core.NewOptions()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/csv"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func TestSpectrumCSV(t *testing.T) {
 func TestFigureCSVsFromQuickRun(t *testing.T) {
 	cfg := QuickConfig()
 
-	f4, err := Figure4(cfg)
+	f4, err := Figure4(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestFigureCSVsFromQuickRun(t *testing.T) {
 		t.Errorf("architectures missing: %v", archs)
 	}
 
-	f7, err := Figure7(cfg)
+	f7, err := Figure7(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestFigureCSVsFromQuickRun(t *testing.T) {
 		t.Errorf("fig7 header: %v", rows[0])
 	}
 
-	f8, err := RunQASMBench(cfg)
+	f8, err := RunQASMBench(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

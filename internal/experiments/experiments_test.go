@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -63,7 +64,7 @@ func TestConfigNormalize(t *testing.T) {
 
 func TestFigure1(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Figure1(quickCfg(&buf))
+	res, err := Figure1(context.Background(), quickCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFigure1(t *testing.T) {
 
 func TestFigure2(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Figure2(quickCfg(&buf))
+	res, err := Figure2(context.Background(), quickCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestFigure2(t *testing.T) {
 
 func TestFigure4(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Figure4(quickCfg(&buf))
+	res, err := Figure4(context.Background(), quickCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestFigure4(t *testing.T) {
 
 func TestFigure6(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Figure6(quickCfg(&buf))
+	res, err := Figure6(context.Background(), quickCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestFigure6(t *testing.T) {
 
 func TestFigure7(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Figure7(quickCfg(&buf))
+	res, err := Figure7(context.Background(), quickCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestFigure7(t *testing.T) {
 
 func TestQASMBenchFigures(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunQASMBench(quickCfg(&buf))
+	res, err := RunQASMBench(context.Background(), quickCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestQASMBenchFigures(t *testing.T) {
 
 func TestFigure10(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Figure10(quickCfg(&buf))
+	res, err := Figure10(context.Background(), quickCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestTopStrings(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Ablations(quickCfg(&buf))
+	res, err := Ablations(context.Background(), quickCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	"qbeep/internal/algorithms"
@@ -45,11 +46,12 @@ type Figure7Result struct {
 // fidelity per state-graph iteration. Shape targets: Q-BEEP mean PST
 // improvement above HAMMER's and above 1; some regressions expected
 // (paper: 14 %).
-func Figure7(cfg Config) (*Figure7Result, error) {
+func Figure7(ctx context.Context, cfg Config) (*Figure7Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("7")()
+	ctx, done := figureSpan(ctx, "7")
+	defer done()
 	rng := cfg.rng(7)
 	backends, err := device.CatalogSubset(8, 16)
 	if err != nil {
@@ -89,9 +91,9 @@ func Figure7(cfg Config) (*Figure7Result, error) {
 	// Phase 2: run in parallel into index-addressed slots.
 	cases := make([]BVCase, len(tasks))
 	traces := make([][]float64, len(tasks))
-	err = par.ForEach(len(tasks), 0, func(i int) error {
+	_, err = par.ForEach(ctx, len(tasks), 0, func(ctx context.Context, i int) error {
 		tk := tasks[i]
-		out, err := runWorkload(tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, tk.track)
+		out, err := runWorkload(ctx, tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, tk.track)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"qbeep/internal/algorithms"
 	"qbeep/internal/bitstring"
 	"qbeep/internal/device"
@@ -37,11 +39,12 @@ type Figure6Result struct {
 // against the observed error spectrum by Hellinger distance. Expected
 // ordering (paper): MLE Poisson < Q-BEEP < the non-Poisson models, with
 // Q-BEEP the best pre-induction model.
-func Figure6(cfg Config) (*Figure6Result, error) {
+func Figure6(ctx context.Context, cfg Config) (*Figure6Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("6")()
+	ctx, done := figureSpan(ctx, "6")
+	defer done()
 	rng := cfg.rng(6)
 	total := cfg.scaled(2750, 30)
 	backends, err := device.Catalog()
@@ -82,9 +85,9 @@ func Figure6(cfg Config) (*Figure6Result, error) {
 
 	// Phase 2 (parallel): execute and score each circuit into its slot.
 	samples := make([]*ModelDistances, len(tasks))
-	err = par.ForEach(len(tasks), 0, func(i int) error {
+	_, err = par.ForEach(ctx, len(tasks), 0, func(ctx context.Context, i int) error {
 		tk := tasks[i]
-		out, err := runWorkload(tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, false)
+		out, err := runWorkload(ctx, tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, false)
 		if err != nil {
 			return err
 		}

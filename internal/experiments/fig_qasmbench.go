@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	"qbeep/internal/algorithms"
@@ -34,11 +35,12 @@ type QASMBenchResult struct {
 
 // RunQASMBench executes the QASMBench-style suite over the whole backend
 // catalog and aggregates Figs. 8, 9 and 11 from one pass.
-func RunQASMBench(cfg Config) (*QASMBenchResult, error) {
+func RunQASMBench(ctx context.Context, cfg Config) (*QASMBenchResult, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("8/9/11")()
+	ctx, done := figureSpan(ctx, "8/9/11")
+	defer done()
 	rng := cfg.rng(8)
 	backends, err := device.Catalog()
 	if err != nil {
@@ -73,7 +75,7 @@ func RunQASMBench(cfg Config) (*QASMBenchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ideal, err := w.IdealDist()
+		ideal, err := w.IdealDistCtx(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -93,12 +95,12 @@ func RunQASMBench(cfg Config) (*QASMBenchResult, error) {
 	}
 	// Phase 2: run each cell (repeats inductions) in parallel.
 	cells := make([]QASMBenchCell, len(tasks))
-	err = par.ForEach(len(tasks), 0, func(i int) error {
+	_, err = par.ForEach(ctx, len(tasks), 0, func(ctx context.Context, i int) error {
 		tk := tasks[i]
 		var ratios []float64
 		cell := QASMBenchCell{Algorithm: tk.alg, Backend: tk.b.Name, Entropy: tk.entropy}
 		for r := 0; r < repeats; r++ {
-			out, err := runWorkload(tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, false)
+			out, err := runWorkload(ctx, tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, false)
 			if err != nil {
 				return err
 			}
@@ -177,10 +179,16 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // Figure8 runs the suite evaluation and returns the per-algorithm view.
-func Figure8(cfg Config) (*QASMBenchResult, error) { return RunQASMBench(cfg) }
+func Figure8(ctx context.Context, cfg Config) (*QASMBenchResult, error) {
+	return RunQASMBench(ctx, cfg)
+}
 
 // Figure9 runs the suite evaluation and returns the per-machine view.
-func Figure9(cfg Config) (*QASMBenchResult, error) { return RunQASMBench(cfg) }
+func Figure9(ctx context.Context, cfg Config) (*QASMBenchResult, error) {
+	return RunQASMBench(ctx, cfg)
+}
 
 // Figure11 runs the suite evaluation and returns the entropy analysis.
-func Figure11(cfg Config) (*QASMBenchResult, error) { return RunQASMBench(cfg) }
+func Figure11(ctx context.Context, cfg Config) (*QASMBenchResult, error) {
+	return RunQASMBench(ctx, cfg)
+}

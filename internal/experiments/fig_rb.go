@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"qbeep/internal/algorithms"
@@ -37,11 +38,12 @@ type Figure4Result struct {
 // The paper's findings to match in shape: EHD grows linearly with gate
 // count on both architectures (ion R² = 0.88) and the IoD hovers near 1
 // (the Poisson signature).
-func Figure4(cfg Config) (*Figure4Result, error) {
+func Figure4(ctx context.Context, cfg Config) (*Figure4Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	defer figureSpan("4")()
+	ctx, done := figureSpan(ctx, "4")
+	defer done()
 	rng := cfg.rng(4)
 	res := &Figure4Result{}
 
@@ -51,7 +53,7 @@ func Figure4(cfg Config) (*Figure4Result, error) {
 		return nil, err
 	}
 	nSC := cfg.scaled(500, 24)
-	sc, err := rbSweep(nSC, 12, scBackends, cfg, rng)
+	sc, err := rbSweep(ctx, nSC, 12, scBackends, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +65,7 @@ func Figure4(cfg Config) (*Figure4Result, error) {
 		return nil, err
 	}
 	nIon := cfg.scaled(125, 12)
-	ionPts, err := rbSweep(nIon, 5, []*device.Backend{ion}, cfg, rng)
+	ionPts, err := rbSweep(ctx, nIon, 5, []*device.Backend{ion}, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +113,7 @@ func allWithAtLeast(n int) ([]*device.Backend, error) {
 
 // rbSweep runs count RB circuits of width n with random depths across the
 // backends, round-robin.
-func rbSweep(count, n int, backends []*device.Backend, cfg Config, rng *mathx.RNG) ([]RBPoint, error) {
+func rbSweep(ctx context.Context, count, n int, backends []*device.Backend, cfg Config, rng *mathx.RNG) ([]RBPoint, error) {
 	// Phase 1: deterministic RB corpus with per-circuit RNGs.
 	type task struct {
 		w   *algorithms.Workload
@@ -132,13 +134,13 @@ func rbSweep(count, n int, backends []*device.Backend, cfg Config, rng *mathx.RN
 		tasks = append(tasks, task{w: w, b: backends[i%len(backends)], rng: rng.Split(uint64(i))})
 	}
 	points := make([]RBPoint, count)
-	err := par.ForEach(count, 0, func(i int) error {
+	_, err := par.ForEach(ctx, count, 0, func(ctx context.Context, i int) error {
 		w, b := tasks[i].w, tasks[i].b
 		exec, err := noise.NewExecutor(b, noise.DefaultModel())
 		if err != nil {
 			return err
 		}
-		run, err := execute(exec, w.Circuit, cfg.Shots, cfg.Batch, tasks[i].rng)
+		run, err := exec.ExecuteBatchCtx(ctx, w.Circuit, cfg.Shots, cfg.Batch, tasks[i].rng)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -121,8 +122,9 @@ func hellingerFromFidelity(f float64) float64 {
 // mitigation wall time. It prefers the workload's exact expected
 // bitstring over core's mode-derived spectrum center, observes the
 // PST-improvement histogram, feeds the report aggregator, and appends
-// a ledger record when one is installed.
-func recordQuality(o *Outcome, q core.QualityStats, mitigateWallS float64) {
+// a ledger record, joined to the trace active in ctx, when one is
+// installed.
+func recordQuality(ctx context.Context, o *Outcome, q core.QualityStats, mitigateWallS float64) {
 	fRaw, fQB, _ := o.fidelity3()
 	q.FidelityRaw, q.FidelityMitigated = fRaw, fQB
 	q.HellingerRaw = hellingerFromFidelity(fRaw)
@@ -161,6 +163,7 @@ func recordQuality(o *Outcome, q core.QualityStats, mitigateWallS float64) {
 	}
 	rec := runledger.Record{
 		Tool:        "qbeep-experiments",
+		TraceID:     obs.TraceIDFrom(ctx),
 		Figure:      fig,
 		Backend:     o.Backend.Name,
 		Circuit:     o.Workload.Circuit.Name,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"time"
@@ -8,17 +9,26 @@ import (
 	"qbeep/internal/obs"
 )
 
-// figureSpan logs the start of a figure runner at info level and returns
-// the completion hook: defer figureSpan("7")(). Long runs stop being
-// silent (the CLI's -log-level defaults to info), while library and test
-// use stays quiet under the default discarding logger.
-func figureSpan(id string) func() {
+// figureSpan opens the "experiments.figure" span (attribute id) under
+// ctx, logs the start of a figure runner at info level, and returns the
+// span's context plus the completion hook that ends it:
+//
+//	ctx, done := figureSpan(ctx, "7")
+//	defer done()
+//
+// Long runs stop being silent (the CLI's -log-level defaults to info),
+// while library and test use stays quiet under the default discarding
+// logger.
+func figureSpan(ctx context.Context, id string) (context.Context, func()) {
 	t0 := time.Now()
 	// Figures run serially; the active ID tags the quality samples and
 	// ledger records their workloads emit (see quality.go).
 	activeFigure.Store(id)
 	obs.Logger().Info("figure start", "figure", id)
-	return func() {
+	ctx, sp := obs.Start(ctx, "experiments.figure") //qbeep:allow-spanleak ended by the returned completion hook
+	sp.SetAttr("id", id)
+	return ctx, func() {
+		sp.End()
 		activeFigure.Store("")
 		obs.Logger().Info("figure done", "figure", id, "elapsed", time.Since(t0))
 	}

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"qbeep/internal/algorithms"
 	"qbeep/internal/bitstring"
-	"qbeep/internal/circuit"
 	"qbeep/internal/core"
 	"qbeep/internal/device"
 	"qbeep/internal/hammer"
@@ -28,31 +28,23 @@ type Outcome struct {
 	Trace    []float64 // per-iteration fidelity when tracked
 }
 
-// execute routes one induction through the serial shot loop or, when
-// batch > 1, the block-fanned batch path. Every runner shares this
-// switch so a single -batch flag covers the whole figure suite.
-func execute(exec *noise.Executor, c *circuit.Circuit, shots, batch int, rng *mathx.RNG) (*noise.Run, error) {
-	if batch > 1 {
-		return exec.ExecuteBatch(c, shots, batch, rng)
-	}
-	return exec.Execute(c, shots, rng)
-}
-
 // runWorkload executes the workload on the backend under the default
 // hardware-like noise model and applies Q-BEEP (Eq. 2 λ, with the
 // caller's core options — iteration schedule, convergence tolerance,
 // top-k mode) and HAMMER. batch > 1 fans the shot loop across the
-// worker pool (see Config.Batch). track enables the per-iteration
+// worker pool (see Config.Batch; ExecuteBatchCtx runs the serial shot
+// loop when batch <= 1). track enables the per-iteration
 // fidelity trace (costs one fidelity evaluation per iteration). Every
 // completed workload is logged at info level (circuit, backend,
-// elapsed) — the progress feed for multi-minute figure runs.
-func runWorkload(w *algorithms.Workload, b *device.Backend, shots, batch int, opts core.Options, rng *mathx.RNG, track bool) (*Outcome, error) {
+// elapsed) — the progress feed for multi-minute figure runs. The
+// induction's and mitigation's spans parent under ctx.
+func runWorkload(ctx context.Context, w *algorithms.Workload, b *device.Backend, shots, batch int, opts core.Options, rng *mathx.RNG, track bool) (*Outcome, error) {
 	t0 := time.Now()
 	exec, err := noise.NewExecutor(b, noise.DefaultModel())
 	if err != nil {
 		return nil, err
 	}
-	run, err := execute(exec, w.Circuit, shots, batch, rng)
+	run, err := exec.ExecuteBatchCtx(ctx, w.Circuit, shots, batch, rng)
 	if err != nil {
 		return nil, fmt.Errorf("executing %s on %s: %w", w.Circuit.Name, b.Name, err)
 	}
@@ -77,9 +69,9 @@ func runWorkload(w *algorithms.Workload, b *device.Backend, shots, batch int, op
 	var trace []float64
 	m0 := time.Now()
 	if track {
-		qb, trace, err = core.MitigateTracked(raw, lambda.Lambda(), opts, ideal)
+		qb, trace, err = core.MitigateTrackedCtx(ctx, raw, lambda.Lambda(), opts, ideal)
 	} else {
-		qb, err = core.Mitigate(raw, lambda.Lambda(), opts)
+		qb, err = core.MitigateCtx(ctx, raw, lambda.Lambda(), opts)
 	}
 	if err != nil {
 		return nil, err
@@ -102,7 +94,7 @@ func runWorkload(w *algorithms.Workload, b *device.Backend, shots, batch int, op
 		Lambda:   lambda,
 		Trace:    trace,
 	}
-	recordQuality(out, qstats, mitigateWallS)
+	recordQuality(ctx, out, qstats, mitigateWallS)
 	return out, nil
 }
 

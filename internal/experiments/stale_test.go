@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/algorithms"
@@ -40,7 +41,7 @@ func TestStaleCalibrationCausesRegressions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := exec.Execute(w.Circuit, 2048, rng)
+		run, err := exec.ExecuteCtx(context.Background(), w.Circuit, 2048, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +62,11 @@ func TestStaleCalibrationCausesRegressions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outToday, err := core.Mitigate(raw, lbToday.Lambda(), core.NewOptions())
+		outToday, err := core.MitigateCtx(context.Background(), raw, lbToday.Lambda(), core.NewOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		outStale, err := core.Mitigate(raw, lbStale.Lambda(), core.NewOptions())
+		outStale, err := core.MitigateCtx(context.Background(), raw, lbStale.Lambda(), core.NewOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/circuit"
@@ -29,7 +30,7 @@ func TestTrajectorySteadyStateAllocs(t *testing.T) {
 	rng := mathx.NewRNG(17)
 
 	sample := func(shots int) {
-		if _, err := ts.Sample(c, 0, shots, rng); err != nil {
+		if _, err := ts.SampleCtx(context.Background(), c, 0, shots, rng); err != nil {
 			t.Fatal(err)
 		}
 	}

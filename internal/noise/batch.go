@@ -41,7 +41,7 @@ type BatchRequest struct {
 // requests saturates the machine just like one large request would.
 //
 // Results are bitwise identical to running each request serially through
-// TrajectorySampler.Sample with mathx.NewRNG(req.Seed), at any worker
+// TrajectorySampler.SampleCtx with mathx.NewRNG(req.Seed), at any worker
 // count: every shot draws from the stream keyed by (request seed, shot
 // index) regardless of which worker runs it, and the per-request merges
 // fold worker-local counts in task order. A BatchSampler is not safe for
@@ -95,7 +95,7 @@ func (bs *BatchSampler) SampleBatch(ctx context.Context, reqs []BatchRequest) ([
 		}
 		// The serial path draws its stream base as the first Uint64 of a
 		// generator seeded with req.Seed; doing the same here makes each
-		// request's shots bitwise identical to a serial Sample call.
+		// request's shots bitwise identical to a serial SampleCtx call.
 		bases[i] = mathx.NewRNG(req.Seed).Uint64()
 		start[i+1] = start[i] + req.Shots
 	}
@@ -117,7 +117,7 @@ func (bs *BatchSampler) SampleBatch(ctx context.Context, reqs []BatchRequest) ([
 	// locals[w][i] holds worker w's counts for request i (nil when the
 	// worker's shot range misses the request).
 	locals := make([][]*bitstring.Dist, workers)
-	stats, err := par.ForEachStatsCtx(ctx, workers, workers, func(w int) error {
+	stats, err := par.ForEach(ctx, workers, workers, func(ctx context.Context, w int) error {
 		lo := w * chunk
 		hi := lo + chunk
 		if hi > total {
@@ -136,7 +136,7 @@ func (bs *BatchSampler) SampleBatch(ctx context.Context, reqs []BatchRequest) ([
 			}
 			from, to := max(lo, s0)-s0, min(hi, s1)-s0
 			mine[i] = bitstring.NewDist(req.Circuit.N)
-			if err := t.runShots(a, mine[i], steps[i], req.Init, bases[i], from, to); err != nil {
+			if err := t.runShots(ctx, a, mine[i], steps[i], req.Init, bases[i], from, to); err != nil {
 				return err
 			}
 		}

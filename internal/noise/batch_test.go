@@ -83,7 +83,7 @@ func TestTrajectoryMatchesPerGateOracle(t *testing.T) {
 		}
 		for _, w := range trajWorkerMatrix(t) {
 			ts.SetWorkers(w)
-			got, err := ts.Sample(c, 0, shots, mathx.NewRNG(uint64(50+ci)))
+			got, err := ts.SampleCtx(context.Background(), c, 0, shots, mathx.NewRNG(uint64(50+ci)))
 			if err != nil {
 				t.Fatalf("circuit %d workers=%d: %v", ci, w, err)
 			}
@@ -119,7 +119,7 @@ func TestSampleBatchMatchesSerial(t *testing.T) {
 	}
 	want := make([]*bitstring.Dist, len(reqs))
 	for i, req := range reqs {
-		want[i], err = serial.Sample(req.Circuit, req.Init, req.Shots, mathx.NewRNG(req.Seed))
+		want[i], err = serial.SampleCtx(context.Background(), req.Circuit, req.Init, req.Shots, mathx.NewRNG(req.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,24 +169,24 @@ func TestExecuteBatchDeterministicAcrossBlocks(t *testing.T) {
 	c := circuit.New("batchdet", 4).H(0).CX(0, 1).CX(1, 2).CX(2, 3).MeasureAll()
 	const shots = 600
 
-	serial, err := exec.Execute(c, shots, mathx.NewRNG(42))
+	serial, err := exec.ExecuteCtx(context.Background(), c, shots, mathx.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOne, err := exec.ExecuteBatch(c, shots, 1, mathx.NewRNG(42))
+	viaOne, err := exec.ExecuteBatchCtx(context.Background(), c, shots, 1, mathx.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameDist(t, "blocks=1", viaOne.Counts, serial.Counts)
 
-	first, err := exec.ExecuteBatch(c, shots, 7, mathx.NewRNG(42))
+	first, err := exec.ExecuteBatchCtx(context.Background(), c, shots, 7, mathx.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Counts.Total() != serial.Counts.Total() {
 		t.Fatalf("batch total %v, want %v", first.Counts.Total(), serial.Counts.Total())
 	}
-	again, err := exec.ExecuteBatch(c, shots, 7, mathx.NewRNG(42))
+	again, err := exec.ExecuteBatchCtx(context.Background(), c, shots, 7, mathx.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}

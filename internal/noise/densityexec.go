@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"context"
 	"fmt"
 
 	"qbeep/internal/bitstring"
@@ -8,6 +9,7 @@ import (
 	"qbeep/internal/densitymatrix"
 	"qbeep/internal/device"
 	"qbeep/internal/mathx"
+	"qbeep/internal/obs"
 )
 
 // DensityExecutor evolves the full density matrix with calibrated Kraus
@@ -36,11 +38,13 @@ func NewDensityExecutor(b *device.Backend) (*DensityExecutor, error) {
 	return &DensityExecutor{backend: b}, nil
 }
 
-// ExecuteExact evolves the logical circuit (gates act on logical qubits;
-// calibration uses the mean device statistics, as the circuit is not
-// routed here) and returns the exact outcome distribution, plus a sampled
-// counts distribution when shots > 0.
-func (e *DensityExecutor) ExecuteExact(c *circuit.Circuit, shots int, rng *mathx.RNG) (exact *bitstring.Dist, sampled *bitstring.Dist, err error) {
+// ExecuteExactCtx evolves the logical circuit (gates act on logical
+// qubits; calibration uses the mean device statistics, as the circuit is
+// not routed here) and returns the exact outcome distribution, plus a
+// sampled counts distribution when shots > 0. The evolution runs under a
+// "noise.density" span parented to the span active in ctx, and the
+// matrix's row-shard fan-outs parent their worker spans under it.
+func (e *DensityExecutor) ExecuteExactCtx(ctx context.Context, c *circuit.Circuit, shots int, rng *mathx.RNG) (exact *bitstring.Dist, sampled *bitstring.Dist, err error) {
 	if err := c.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -74,7 +78,11 @@ func (e *DensityExecutor) ExecuteExact(c *circuit.Circuit, shots int, rng *mathx
 	t2 := cal.MeanT2()
 	readout := cal.MeanReadoutError()
 
-	dm, err := densitymatrix.New(c.N)
+	ctx, sp := obs.Start(ctx, "noise.density")
+	defer sp.End()
+	sp.SetAttr("circuit", c.Name)
+	sp.SetAttr("width", c.N)
+	dm, err := densitymatrix.New(ctx, c.N)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -58,16 +58,12 @@ func NewExecutor(b *device.Backend, m Model) (*Executor, error) {
 // Backend returns the executor's backend.
 func (e *Executor) Backend() *device.Backend { return e.backend }
 
-// Execute transpiles c onto the backend and samples shots measurement
-// outcomes under the failure-event model. The ideal distribution comes from
-// the logical circuit (transpilation is semantics-preserving), so register
-// width is bounded by the logical width, not the physical device size.
-func (e *Executor) Execute(c *circuit.Circuit, shots int, rng *mathx.RNG) (*Run, error) {
-	return e.ExecuteCtx(context.Background(), c, shots, rng)
-}
-
-// ExecuteCtx is Execute with trace-context propagation: the transpile
-// and noise.execute spans parent under the span active in ctx.
+// ExecuteCtx transpiles c onto the backend and samples shots
+// measurement outcomes under the failure-event model. The ideal
+// distribution comes from the logical circuit (transpilation is
+// semantics-preserving), so register width is bounded by the logical
+// width, not the physical device size. The transpile and noise.execute
+// spans parent under the span active in ctx.
 func (e *Executor) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int, rng *mathx.RNG) (*Run, error) {
 	if shots <= 0 {
 		return nil, fmt.Errorf("noise: shots %d must be positive", shots)
@@ -82,15 +78,10 @@ func (e *Executor) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int
 	return e.ExecuteTranspiledCtx(ctx, c, res, shots, rng)
 }
 
-// ExecuteTranspiled is Execute for a circuit already transpiled (the
-// caller controls layout / reuses the artifact).
-func (e *Executor) ExecuteTranspiled(logical *circuit.Circuit, res *transpile.Result, shots int, rng *mathx.RNG) (*Run, error) {
-	return e.ExecuteTranspiledCtx(context.Background(), logical, res, shots, rng)
-}
-
-// ExecuteTranspiledCtx is ExecuteTranspiled with trace-context
-// propagation: the "noise.execute" span covers the ideal reference run
-// (its "sim.run" child), rate derivation, and sampling.
+// ExecuteTranspiledCtx is ExecuteCtx for a circuit already transpiled
+// (the caller controls layout / reuses the artifact). The
+// "noise.execute" span covers the ideal reference run (its "sim.run"
+// child), rate derivation, and sampling.
 func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Circuit, res *transpile.Result, shots int, rng *mathx.RNG) (*Run, error) {
 	ctx, sp := obs.Start(ctx, "noise.execute")
 	// Ending via defer keeps the span from leaking on the ideal-run and
@@ -124,11 +115,6 @@ func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Ci
 		Rates:      rates,
 		Shots:      shots,
 	}, nil
-}
-
-// ExecuteBatch is ExecuteBatchCtx with a background context.
-func (e *Executor) ExecuteBatch(c *circuit.Circuit, shots, blocks int, rng *mathx.RNG) (*Run, error) {
-	return e.ExecuteBatchCtx(context.Background(), c, shots, blocks, rng)
 }
 
 // ExecuteBatchCtx is ExecuteCtx with the shot loop split into blocks and
@@ -177,7 +163,7 @@ func (e *Executor) ExecuteBatchCtx(ctx context.Context, c *circuit.Circuit, shot
 	t0 := time.Now() //qbeep:allow-time span/metric timing, not kernel state
 	bctx, bsp := obs.Start(ctx, "sim.batch")
 	locals := make([]*bitstring.Dist, blocks)
-	stats, perr := par.ForEachStatsCtx(bctx, blocks, 0, func(b int) error {
+	stats, perr := par.ForEach(bctx, blocks, 0, func(_ context.Context, b int) error {
 		lo := b * chunk
 		hi := lo + chunk
 		if hi > shots {

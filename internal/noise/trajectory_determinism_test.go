@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"strconv"
@@ -52,7 +53,7 @@ func TestTrajectoryDeterministicAcrossWorkers(t *testing.T) {
 	var want map[bitstring.BitString]float64
 	for _, w := range trajWorkerMatrix(t) {
 		ts.SetWorkers(w)
-		d, err := ts.Sample(c, 0, shots, mathx.NewRNG(1234))
+		d, err := ts.SampleCtx(context.Background(), c, 0, shots, mathx.NewRNG(1234))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -85,11 +86,11 @@ func TestTrajectorySeedStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := circuit.New("seed", 4).H(0).CX(0, 1).CX(1, 2).CX(2, 3).MeasureAll()
-	d1, err := ts.Sample(c, 0, 300, mathx.NewRNG(9))
+	d1, err := ts.SampleCtx(context.Background(), c, 0, 300, mathx.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := ts.Sample(c, 0, 300, mathx.NewRNG(9))
+	d2, err := ts.SampleCtx(context.Background(), c, 0, 300, mathx.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}

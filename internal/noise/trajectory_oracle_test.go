@@ -1,6 +1,8 @@
 package noise
 
 import (
+	"context"
+
 	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
 	"qbeep/internal/mathx"
@@ -11,7 +13,7 @@ import (
 // trajectory sampler: per-gate Apply with a freshly built Gate per Pauli
 // injection, exactly as the pre-replay code path worked. It consumes the
 // caller's generator and per-shot streams in the same order as
-// TrajectorySampler.runShots, so Sample must reproduce its counts
+// TrajectorySampler.runShots, so SampleCtx must reproduce its counts
 // bit-for-bit — the equivalence bar for the compiled-replay rewrite.
 // It is also the slow side of the trajectory_replay_speedup benchparse
 // ratio (BenchmarkTrajectoryPerGate).
@@ -21,7 +23,7 @@ func samplePerGateOracle(ts *TrajectorySampler, c *circuit.Circuit, init bitstri
 	}
 	base := rng.Uint64()
 	counts := bitstring.NewDist(c.N)
-	st, err := statevector.New(c.N)
+	st, err := statevector.New(context.Background(), c.N)
 	if err != nil {
 		return nil, err
 	}

@@ -96,9 +96,6 @@ func TestTraceIDFrom(t *testing.T) {
 	if id := TraceIDFrom(context.Background()); id != 0 {
 		t.Fatalf("TraceIDFrom(Background) = %d, want 0", id)
 	}
-	if id := TraceIDFrom(nil); id != 0 { //nolint:staticcheck
-		t.Fatalf("TraceIDFrom(nil) = %d, want 0", id)
-	}
 	resetTraceIDs()
 	var c CollectorSink
 	SetSpanSink(&c)

@@ -19,7 +19,7 @@ type Attr struct {
 // SpanEvent is the record a sink receives when a span ends.
 //
 // TraceID groups every span of one logical operation (one CLI pipeline
-// run, one Execute call, ...). SpanID identifies the span within its
+// run, one ExecuteCtx call, ...). SpanID identifies the span within its
 // trace and ParentID names the span that was active in the context when
 // Start was called (0 for a trace root). IDs are allocated sequentially
 // per trace — the root is span 1 and sequential code numbers its spans
@@ -64,8 +64,8 @@ type sinkBox struct {
 var spanSink atomic.Pointer[sinkBox]
 
 // SetSpanSink installs the destination for completed spans; nil disables
-// tracing (the default). While disabled, Start and StartSpan return an
-// inert Span whose methods are no-ops and allocate nothing.
+// tracing (the default). While disabled, Start returns an inert Span
+// whose methods are no-ops and allocate nothing.
 func SetSpanSink(s SpanSink) {
 	if s == nil {
 		spanSink.Store(nil)
@@ -127,9 +127,6 @@ func Start(ctx context.Context, name string) (context.Context, Span) {
 	if b == nil || b.sink == nil {
 		return ctx, Span{}
 	}
-	if ctx == nil {
-		ctx = context.Background() //qbeep:allow-ctx nil-ctx normalization: Start tolerates nil for legacy callers
-	}
 	var ts *traceState
 	var parent uint64
 	if ref, ok := ctx.Value(ctxKey{}).(spanRef); ok && ref.trace != nil {
@@ -157,21 +154,10 @@ func Start(ctx context.Context, name string) (context.Context, Span) {
 // ctx carries none — the hook metric call sites use to stamp histogram
 // observations with the trace that produced them (Histogram.ObserveTrace).
 func TraceIDFrom(ctx context.Context) uint64 {
-	if ctx == nil {
-		return 0
-	}
 	if ref, ok := ctx.Value(ctxKey{}).(spanRef); ok && ref.trace != nil {
 		return ref.trace.id
 	}
 	return 0
-}
-
-// StartSpan begins a root span with no context — each call opens its
-// own single-span trace. Retained for call sites with no context to
-// thread; prefer Start.
-func StartSpan(name string) Span {
-	_, sp := Start(context.Background(), name) //qbeep:allow-ctx documented Background-wrapper shim: StartSpan exists for ctx-less call sites
-	return sp
 }
 
 // SetAttr attaches an attribute to the span; a no-op when inert.

@@ -31,7 +31,7 @@ var (
 	metWorkerBusyMax = obs.Default.Gauge("par.worker_busy_ratio_max")
 )
 
-// Stats describes one ForEachStats batch.
+// Stats describes one ForEach batch.
 type Stats struct {
 	// Durations holds the wall time of each task, index-addressed.
 	Durations []time.Duration
@@ -39,7 +39,7 @@ type Stats struct {
 	// that worker executed. len(WorkerBusy) == Workers; a worker's idle
 	// time is Elapsed minus its entry.
 	WorkerBusy []time.Duration
-	// FirstErr is the index of the task whose error ForEachStats
+	// FirstErr is the index of the task whose error ForEach
 	// returned (the first error observed), or -1 if every task
 	// succeeded. Later tasks still ran to completion.
 	FirstErr int
@@ -89,36 +89,21 @@ func (s Stats) WorkerBusyRatios() (min, mean, max float64) {
 	return min, mean, max
 }
 
-// ForEach runs fn(i) for every i in [0, n) across at most workers
+// ForEach runs fn(ctx, i) for every i in [0, n) across at most workers
 // goroutines (GOMAXPROCS when workers <= 0). It returns the first error
-// encountered; other tasks still run to completion. fn must only write to
-// per-index state — the helper provides no other synchronization.
-func ForEach(n, workers int, fn func(i int) error) error {
-	_, err := ForEachStatsCtx(context.Background(), n, workers, fn)
-	return err
-}
-
-// ForEachCtx is ForEach with trace-context propagation: when tracing is
-// enabled, each worker goroutine runs under a "par.worker" span parented
-// to the span active in ctx, so fan-out regions show their per-worker
-// utilization in the trace forest.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
-	_, err := ForEachStatsCtx(ctx, n, workers, fn)
-	return err
-}
-
-// ForEachStats is ForEach plus per-task timing: every task's duration is
-// recorded (index-addressed in the returned Stats and observed into the
-// "par.task_seconds" histogram), errors are logged with their task index,
-// and the batch's worker utilization is published as the
-// "par.utilization" gauge.
-func ForEachStats(n, workers int, fn func(i int) error) (Stats, error) {
-	return ForEachStatsCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachStatsCtx is ForEachStats with trace-context propagation (see
-// ForEachCtx).
-func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) (Stats, error) {
+// encountered; other tasks still run to completion. fn must only write
+// to per-index state — the helper provides no other synchronization.
+//
+// Every task's duration is recorded (index-addressed in the returned
+// Stats and observed into the "par.task_seconds" histogram), errors are
+// logged with their task index, and the batch's worker utilization is
+// published as the "par.utilization" gauge. When tracing is enabled,
+// each worker goroutine runs under a "par.worker" span parented to the
+// span active in ctx, and its tasks receive that span's context, so
+// spans they open join the caller's trace; on the one-worker path tasks
+// receive ctx itself. While tracing is disabled the context handed to
+// tasks is ctx unchanged, so the hand-off allocates nothing.
+func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) (Stats, error) {
 	stats := Stats{FirstErr: -1}
 	if n <= 0 {
 		return stats, nil
@@ -146,9 +131,9 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 		mu    sync.Mutex
 		first error
 	)
-	runTask := func(i int) time.Duration {
+	runTask := func(ctx context.Context, i int) time.Duration {
 		t0 := time.Now()
-		err := fn(i)
+		err := fn(ctx, i)
 		d := time.Since(t0)
 		stats.Durations[i] = d // per-index slot: no lock needed
 		metTask.ObserveTrace(d.Seconds(), traceID)
@@ -167,7 +152,7 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			stats.WorkerBusy[0] += runTask(i)
+			stats.WorkerBusy[0] += runTask(ctx, i)
 		}
 	} else {
 		// Fully buffered dispatch, filled and closed before the workers
@@ -185,11 +170,11 @@ func ForEachStatsCtx(ctx context.Context, n, workers int, fn func(i int) error) 
 			go func(w int) {
 				defer wg.Done()
 				t0 := time.Now()
-				_, wsp := obs.Start(ctx, "par.worker")
+				wctx, wsp := obs.Start(ctx, "par.worker")
 				tasks := 0
 				var busy time.Duration
 				for i := range next {
-					busy += runTask(i)
+					busy += runTask(wctx, i)
 					tasks++
 				}
 				stats.WorkerBusy[w] = busy // per-worker slot: no lock needed

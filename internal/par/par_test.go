@@ -1,17 +1,20 @@
 package par
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"qbeep/internal/obs"
 )
 
 func TestForEachRunsAll(t *testing.T) {
 	const n = 100
 	results := make([]int, n)
-	err := ForEach(n, 8, func(i int) error {
+	_, err := ForEach(context.Background(), n, 8, func(_ context.Context, i int) error {
 		results[i] = i * i
 		return nil
 	})
@@ -27,7 +30,7 @@ func TestForEachRunsAll(t *testing.T) {
 
 func TestForEachSequentialFallback(t *testing.T) {
 	order := make([]int, 0, 5)
-	err := ForEach(5, 1, func(i int) error {
+	_, err := ForEach(context.Background(), 5, 1, func(_ context.Context, i int) error {
 		order = append(order, i)
 		return nil
 	})
@@ -43,7 +46,7 @@ func TestForEachSequentialFallback(t *testing.T) {
 
 func TestForEachPropagatesError(t *testing.T) {
 	var calls int64
-	err := ForEach(50, 4, func(i int) error {
+	_, err := ForEach(context.Background(), 50, 4, func(_ context.Context, i int) error {
 		atomic.AddInt64(&calls, 1)
 		if i == 13 {
 			return fmt.Errorf("boom at %d", i)
@@ -65,7 +68,7 @@ func TestForEachStatsErrorMidBatch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var calls int64
 		const n = 60
-		stats, err := ForEachStats(n, workers, func(i int) error {
+		stats, err := ForEach(context.Background(), n, workers, func(_ context.Context, i int) error {
 			atomic.AddInt64(&calls, 1)
 			if i == 7 {
 				return fmt.Errorf("boom at %d", i)
@@ -87,7 +90,7 @@ func TestForEachStatsErrorMidBatch(t *testing.T) {
 // TestForEachStatsFirstErrMatchesError checks the index always names the
 // task whose error was returned, even when several tasks fail.
 func TestForEachStatsFirstErrMatchesError(t *testing.T) {
-	stats, err := ForEachStats(40, 4, func(i int) error {
+	stats, err := ForEach(context.Background(), 40, 4, func(_ context.Context, i int) error {
 		if i%3 == 0 {
 			return fmt.Errorf("fail %d", i)
 		}
@@ -103,7 +106,7 @@ func TestForEachStatsFirstErrMatchesError(t *testing.T) {
 
 func TestForEachStatsDurations(t *testing.T) {
 	const n = 8
-	stats, err := ForEachStats(n, 4, func(i int) error {
+	stats, err := ForEach(context.Background(), n, 4, func(_ context.Context, i int) error {
 		time.Sleep(time.Duration(i%2+1) * time.Millisecond)
 		return nil
 	})
@@ -130,14 +133,14 @@ func TestForEachStatsDurations(t *testing.T) {
 }
 
 func TestForEachZeroTasks(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return fmt.Errorf("nope") }); err != nil {
+	if _, err := ForEach(context.Background(), 0, 4, func(context.Context, int) error { return fmt.Errorf("nope") }); err != nil {
 		t.Fatal("zero tasks should be a no-op")
 	}
 }
 
 func TestForEachDefaultWorkers(t *testing.T) {
 	var sum int64
-	if err := ForEach(200, 0, func(i int) error {
+	if _, err := ForEach(context.Background(), 200, 0, func(_ context.Context, i int) error {
 		atomic.AddInt64(&sum, int64(i))
 		return nil
 	}); err != nil {
@@ -153,7 +156,7 @@ func TestForEachDefaultWorkers(t *testing.T) {
 // reduction must stay ordered and within [0, 1].
 func TestWorkerBusyAccounting(t *testing.T) {
 	const n, workers = 32, 4
-	stats, err := ForEachStats(n, workers, func(i int) error {
+	stats, err := ForEach(context.Background(), n, workers, func(_ context.Context, i int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	})
@@ -185,7 +188,7 @@ func TestWorkerBusyAccounting(t *testing.T) {
 // TestWorkerBusySingleWorker: the sequential fast path accounts its one
 // worker too.
 func TestWorkerBusySingleWorker(t *testing.T) {
-	stats, err := ForEachStats(8, 1, func(int) error {
+	stats, err := ForEach(context.Background(), 8, 1, func(context.Context, int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	})
@@ -197,5 +200,51 @@ func TestWorkerBusySingleWorker(t *testing.T) {
 	}
 	if _, _, max := stats.WorkerBusyRatios(); max <= 0 {
 		t.Fatal("single-worker busy ratio is zero")
+	}
+}
+
+// TestForEachHandsWorkerContext: with tracing on, spans a task opens
+// from its ctx parent under that task's par.worker span (or under the
+// caller's span on the one-worker path), so a fan-out stays one trace.
+func TestForEachHandsWorkerContext(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var c obs.CollectorSink
+		obs.SetSpanSink(&c)
+		ctx, root := obs.Start(context.Background(), "root")
+		_, err := ForEach(ctx, 16, workers, func(ctx context.Context, i int) error {
+			_, sp := obs.Start(ctx, "task")
+			sp.End()
+			return nil
+		})
+		root.End()
+		obs.SetSpanSink(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := c.Events()
+		byID := map[uint64]obs.SpanEvent{}
+		for _, e := range ev {
+			byID[e.SpanID] = e
+		}
+		tasks := 0
+		for _, e := range ev {
+			if e.TraceID != ev[0].TraceID {
+				t.Fatalf("workers=%d: span %s in trace %d, want %d", workers, e.Name, e.TraceID, ev[0].TraceID)
+			}
+			if e.Name != "task" {
+				continue
+			}
+			tasks++
+			want := "par.worker"
+			if workers == 1 {
+				want = "root"
+			}
+			if parent := byID[e.ParentID].Name; parent != want {
+				t.Fatalf("workers=%d: task parent %q, want %q", workers, parent, want)
+			}
+		}
+		if tasks != 16 {
+			t.Fatalf("workers=%d: %d task spans, want 16", workers, tasks)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package qaoa
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -33,8 +34,8 @@ var (
 // NewInstance builds a QAOA instance on the graph with depth p, choosing
 // uniform per-layer angles by brute-force grid search on the noiseless
 // simulator (lowest expected cost wins). Registers are limited by the
-// state-vector simulator.
-func NewInstance(g *Graph, p int) (*Instance, error) {
+// state-vector simulator. The grid's "sim.run" spans parent under ctx.
+func NewInstance(ctx context.Context, g *Graph, p int) (*Instance, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("qaoa: depth %d must be positive", p)
 	}
@@ -62,7 +63,7 @@ func NewInstance(g *Graph, p int) (*Instance, error) {
 			if err != nil {
 				return nil, err
 			}
-			ideal, err := statevector.IdealDist(c)
+			ideal, err := statevector.IdealDistCtx(ctx, c)
 			if err != nil {
 				return nil, err
 			}
@@ -84,8 +85,9 @@ func NewInstance(g *Graph, p int) (*Instance, error) {
 
 // Dataset generates count QAOA instances mixing 3-regular and Erdős–Rényi
 // graphs with sizes in [minN, maxN] and depths 1..maxP — the synthetic
-// stand-in for the 340-solution Sycamore corpus.
-func Dataset(count, minN, maxN, maxP int, rng *mathx.RNG) ([]*Instance, error) {
+// stand-in for the 340-solution Sycamore corpus. Each grid search runs
+// under the fan-out's worker span in ctx.
+func Dataset(ctx context.Context, count, minN, maxN, maxP int, rng *mathx.RNG) ([]*Instance, error) {
 	if count <= 0 || minN < 4 || maxN < minN || maxP <= 0 {
 		return nil, fmt.Errorf("qaoa: bad dataset spec (%d, %d, %d, %d)", count, minN, maxN, maxP)
 	}
@@ -118,8 +120,8 @@ func Dataset(count, minN, maxN, maxP int, rng *mathx.RNG) ([]*Instance, error) {
 		specs = append(specs, spec{g: g, p: 1 + rng.Intn(maxP)})
 	}
 	out := make([]*Instance, count)
-	err := par.ForEach(count, 0, func(i int) error {
-		inst, err := NewInstance(specs[i].g, specs[i].p)
+	_, err := par.ForEach(ctx, count, 0, func(ctx context.Context, i int) error {
+		inst, err := NewInstance(ctx, specs[i].g, specs[i].p)
 		if err != nil {
 			return err
 		}

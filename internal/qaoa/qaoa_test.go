@@ -1,6 +1,7 @@
 package qaoa
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -190,11 +191,11 @@ func TestQAOABeatsRandomGuessing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := NewInstance(g, 2)
+	inst, err := NewInstance(context.Background(), g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := statevector.IdealDist(inst.Circuit)
+	ideal, err := statevector.IdealDistCtx(context.Background(), inst.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,18 +217,18 @@ func TestQAOABeatsRandomGuessing(t *testing.T) {
 
 func TestNewInstanceValidation(t *testing.T) {
 	g := triangle()
-	if _, err := NewInstance(g, 0); err == nil {
+	if _, err := NewInstance(context.Background(), g, 0); err == nil {
 		t.Error("zero depth should error")
 	}
 	// Edgeless graph: C_min = 0 → degenerate.
-	if _, err := NewInstance(&Graph{N: 3}, 1); err == nil {
+	if _, err := NewInstance(context.Background(), &Graph{N: 3}, 1); err == nil {
 		t.Error("degenerate instance should error")
 	}
 }
 
 func TestDataset(t *testing.T) {
 	rng := mathx.NewRNG(12)
-	insts, err := Dataset(6, 6, 10, 2, rng)
+	insts, err := Dataset(context.Background(), 6, 6, 10, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,17 +246,17 @@ func TestDataset(t *testing.T) {
 			t.Errorf("instance %d: depth %d", i, inst.P)
 		}
 	}
-	if _, err := Dataset(0, 6, 10, 2, rng); err == nil {
+	if _, err := Dataset(context.Background(), 0, 6, 10, 2, rng); err == nil {
 		t.Error("zero count should error")
 	}
 }
 
 func TestDatasetDeterministic(t *testing.T) {
-	a, err := Dataset(3, 6, 8, 1, mathx.NewRNG(77))
+	a, err := Dataset(context.Background(), 3, 6, 8, 1, mathx.NewRNG(77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Dataset(3, 6, 8, 1, mathx.NewRNG(77))
+	b, _ := Dataset(context.Background(), 3, 6, 8, 1, mathx.NewRNG(77))
 	for i := range a {
 		if a[i].Graph.N != b[i].Graph.N || len(a[i].Graph.Edges) != len(b[i].Graph.Edges) {
 			t.Fatal("dataset not deterministic")

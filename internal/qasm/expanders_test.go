@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -36,11 +37,11 @@ func equivalentSrc(t *testing.T, srcA, srcB string) {
 	for _, g := range b.Gates {
 		pb.Append(g)
 	}
-	sa, err := statevector.Run(pa)
+	sa, err := statevector.RunConfiguredCtx(context.Background(), pa, 0, statevector.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := statevector.Run(pb)
+	sb, err := statevector.RunConfiguredCtx(context.Background(), pb, 0, statevector.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,7 +148,7 @@ var expanders = map[string]func(params []float64, qubits []int) ([]circuit.Gate,
 // i to clbit i); gate parameters accept numeric literals and simple
 // pi-expressions (pi, -pi, pi/2, 3*pi/4, ...).
 func Parse(src string) (*circuit.Circuit, error) {
-	return ParseCtx(context.Background(), src)
+	return ParseCtx(context.Background(), src) //qbeep:allow-ctx kept context-free: the end-to-end benchmark harness (benchjob/workload.go) calls Parse
 }
 
 // ParseCtx is Parse with trace-context propagation: the "qasm.parse" span

@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -74,11 +75,11 @@ func TestRoundTripPreservesSemantics(t *testing.T) {
 		if back.N != orig.N {
 			t.Fatalf("width %d vs %d", back.N, orig.N)
 		}
-		sa, err := statevector.Run(orig)
+		sa, err := statevector.RunConfiguredCtx(context.Background(), orig, 0, statevector.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := statevector.Run(back)
+		sb, err := statevector.RunConfiguredCtx(context.Background(), back, 0, statevector.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

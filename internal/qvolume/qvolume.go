@@ -7,6 +7,7 @@
 package qvolume
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -55,9 +56,10 @@ func ModelCircuit(n int, rng *mathx.RNG) (*circuit.Circuit, error) {
 }
 
 // HeavySet returns the heavy outputs of a circuit: the basis states whose
-// ideal probability exceeds the median ideal probability.
-func HeavySet(c *circuit.Circuit) (map[bitstring.BitString]bool, error) {
-	s, err := statevector.Run(c)
+// ideal probability exceeds the median ideal probability. The
+// simulation's "sim.run" span parents under ctx.
+func HeavySet(ctx context.Context, c *circuit.Circuit) (map[bitstring.BitString]bool, error) {
+	s, err := statevector.RunConfiguredCtx(ctx, c, 0, statevector.RunConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package qvolume
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestHeavySetProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := HeavySet(c)
+	heavy, err := HeavySet(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestHeavySetProperties(t *testing.T) {
 		t.Errorf("heavy set size %d for 32 outcomes", len(heavy))
 	}
 	// Ideal HOP of a scrambled circuit approaches (1+ln2)/2 ≈ 0.85.
-	s, err := statevector.Run(c)
+	s, err := statevector.RunConfiguredCtx(context.Background(), c, 0, statevector.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestQBEEPRaisesHOP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		heavy, err := HeavySet(c)
+		heavy, err := HeavySet(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := exec.Execute(c, 2048, rng)
+		run, err := exec.ExecuteCtx(context.Background(), c, 2048, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestQBEEPRaisesHOP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mitigated, err := core.Mitigate(run.Counts, lb.Lambda(), core.NewOptions())
+		mitigated, err := core.MitigateCtx(context.Background(), run.Counts, lb.Lambda(), core.NewOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package statevector
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/mathx"
@@ -19,7 +20,7 @@ func TestRunProgramAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewBasis(8, 0)
+	s, err := NewBasis(context.Background(), 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestRunProgramAllocationFree(t *testing.T) {
 // TestApplyCompiledAllocationFree pins the per-gate replay primitive the
 // trajectory sampler leans on for Pauli injections.
 func TestApplyCompiledAllocationFree(t *testing.T) {
-	s, err := NewBasis(6, 0)
+	s, err := NewBasis(context.Background(), 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

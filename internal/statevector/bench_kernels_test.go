@@ -1,6 +1,7 @@
 package statevector
 
 import (
+	"context"
 	"testing"
 
 	"qbeep/internal/circuit"
@@ -37,7 +38,7 @@ func BenchmarkRun(b *testing.B) {
 	c := qaoaCircuit(14, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(c); err != nil {
+		if _, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +54,7 @@ func BenchmarkRunProgram(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := NewBasis(c.N, 0)
+	s, err := NewBasis(context.Background(), c.N, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func BenchmarkRunUnfused(b *testing.B) {
 	c := qaoaCircuit(14, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunConfigured(c, 0, RunConfig{NoFuse: true}); err != nil {
+		if _, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{NoFuse: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,7 +86,7 @@ func BenchmarkNaiveRun(b *testing.B) {
 	c := qaoaCircuit(14, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := NewBasis(c.N, 0)
+		s, err := NewBasis(context.Background(), c.N, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func BenchmarkNaiveRun(b *testing.B) {
 // BenchmarkProbabilitiesInto measures the zero-copy probability path.
 func BenchmarkProbabilitiesInto(b *testing.B) {
 	c := qaoaCircuit(14, 1)
-	s, err := Run(c)
+	s, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

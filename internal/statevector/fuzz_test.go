@@ -1,6 +1,7 @@
 package statevector
 
 import (
+	"context"
 	"math/cmplx"
 	"testing"
 
@@ -34,7 +35,7 @@ func FuzzCompileReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewBasis(n, init)
+		got, err := NewBasis(context.Background(), n, init)
 		if err != nil {
 			t.Fatal(err)
 		}

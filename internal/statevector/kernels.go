@@ -37,6 +37,7 @@
 package statevector
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -522,8 +523,8 @@ func (s *State) applyOp(o op) {
 func (s *State) applyOpPar(o op, space, w int) {
 	chunk := (space + w - 1) / w
 	// Kernel shards cannot fail; ForEach's error slot stays nil. The
-	// state's run context (if any) parents the shard worker spans.
-	_ = par.ForEachCtx(s.ctx, w, w, func(k int) error {
+	// state's context parents the shard worker spans.
+	_, _ = par.ForEach(s.ctx, w, w, func(_ context.Context, k int) error {
 		lo := k * chunk
 		hi := lo + chunk
 		if hi > space {

@@ -1,6 +1,7 @@
 package statevector
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -72,7 +73,7 @@ func randomCircuit(n, length int, rng *mathx.RNG) *circuit.Circuit {
 // naiveRunFrom evolves the circuit through the retained full-scan oracle.
 func naiveRunFrom(t *testing.T, c *circuit.Circuit, init bitstring.BitString) *State {
 	t.Helper()
-	s, err := NewBasis(c.N, init)
+	s, err := NewBasis(context.Background(), c.N, init)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestKernelMatchesOracleBitwise(t *testing.T) {
 			init := bitstring.BitString(rng.Uint64() & (1<<uint(n) - 1))
 			want := naiveRunFrom(t, c, init)
 			for _, w := range workers {
-				got, err := RunConfigured(c, init, RunConfig{Workers: w, NoFuse: true})
+				got, err := RunConfiguredCtx(context.Background(), c, init, RunConfig{Workers: w, NoFuse: true})
 				if err != nil {
 					t.Fatalf("n=%d trial=%d workers=%d: %v", n, trial, w, err)
 				}
@@ -152,7 +153,7 @@ func TestFusedMatchesOracleTolerance(t *testing.T) {
 			c := randomCircuit(n, 40+3*n, rng)
 			want := naiveRunFrom(t, c, 0)
 			for _, w := range workers {
-				got, err := RunConfigured(c, 0, RunConfig{Workers: w})
+				got, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{Workers: w})
 				if err != nil {
 					t.Fatalf("n=%d trial=%d workers=%d: %v", n, trial, w, err)
 				}
@@ -217,7 +218,7 @@ func TestQAOAFusionMatchesOracle(t *testing.T) {
 		c := qaoaCircuit(n, 2)
 		want := naiveRunFrom(t, c, 0)
 		for _, w := range workers {
-			got, err := RunConfigured(c, 0, RunConfig{Workers: w})
+			got, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{Workers: w})
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, w, err)
 			}
@@ -264,11 +265,11 @@ func TestDiagRunFusionCollapsesCostLayer(t *testing.T) {
 func TestRunConfiguredMatchesRun(t *testing.T) {
 	rng := mathx.NewRNG(5)
 	c := randomCircuit(6, 50, rng)
-	a, err := Run(c)
+	a, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunConfigured(c, 0, RunConfig{})
+	b, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

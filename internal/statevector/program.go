@@ -169,7 +169,7 @@ func (s *State) applyTiledRun(ops []op, tileBits int) {
 		return
 	}
 	chunk := (tiles + w - 1) / w
-	_ = par.ForEachCtx(s.ctx, w, w, func(k int) error {
+	_, _ = par.ForEach(s.ctx, w, w, func(_ context.Context, k int) error {
 		lo := k * chunk
 		hi := lo + chunk
 		if hi > tiles {
@@ -271,7 +271,7 @@ type BatchConfig struct {
 // returns their final states in job order. Each distinct *circuit.Circuit
 // compiles once (repeated pointers share the Program), jobs replay
 // tile-blocked on single-shard states, and every state is bitwise
-// identical to a serial RunConfigured of its job at any worker count or
+// identical to a serial RunConfiguredCtx of its job at any worker count or
 // tile size. The pool's occupancy (busy fraction) lands on the
 // sim.batch.occupancy gauge and the "sim.batch" span.
 func RunBatch(ctx context.Context, jobs []BatchJob, cfg BatchConfig) ([]*State, error) {
@@ -303,8 +303,8 @@ func RunBatch(ctx context.Context, jobs []BatchJob, cfg BatchConfig) ([]*State, 
 	ctx, sp := obs.Start(ctx, "sim.batch")
 	defer sp.End()
 	states := make([]*State, len(jobs))
-	stats, err := par.ForEachStatsCtx(ctx, len(jobs), cfg.Workers, func(i int) error {
-		st, err := NewBasis(jobs[i].Circuit.N, jobs[i].Init)
+	stats, err := par.ForEach(ctx, len(jobs), cfg.Workers, func(ctx context.Context, i int) error {
+		st, err := NewBasis(ctx, jobs[i].Circuit.N, jobs[i].Init)
 		if err != nil {
 			return err
 		}

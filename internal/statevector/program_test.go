@@ -13,7 +13,7 @@ import (
 // TestRunProgramMatchesOracleBitwise pins the replay contract: an unfused
 // compiled program replayed with RunProgram is bit-for-bit identical to
 // the naiveApply oracle for random circuits, width 1-12, any worker
-// count — the same bar the one-shot RunConfigured path clears.
+// count — the same bar the one-shot RunConfiguredCtx path clears.
 func TestRunProgramMatchesOracleBitwise(t *testing.T) {
 	workers := workerMatrix(t)
 	for n := 1; n <= 12; n++ {
@@ -27,7 +27,7 @@ func TestRunProgramMatchesOracleBitwise(t *testing.T) {
 			}
 			want := naiveRunFrom(t, c, init)
 			for _, w := range workers {
-				got, err := NewBasis(n, init)
+				got, err := NewBasis(context.Background(), n, init)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,7 +58,7 @@ func TestRunProgramFusedMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := naiveRunFrom(t, c, 0)
-		got, err := NewBasis(n, 0)
+		got, err := NewBasis(context.Background(), n, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestProgramReplayIsReusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(init bitstring.BitString) []complex128 {
-		s, err := NewBasis(n, init)
+		s, err := NewBasis(context.Background(), n, init)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestRunProgramTiledBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := NewBasis(n, 0)
+			want, err := NewBasis(context.Background(), n, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestRunProgramTiledBitwise(t *testing.T) {
 					continue
 				}
 				for _, w := range workers {
-					got, err := NewBasis(n, 0)
+					got, err := NewBasis(context.Background(), n, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -170,7 +170,7 @@ func TestRunProgramWidthMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewBasis(4, 0)
+	s, err := NewBasis(context.Background(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestPauliOpsMatchGates(t *testing.T) {
 }
 
 // TestRunBatchMatchesSerial pins the batch contract: RunBatch output is
-// bitwise identical to serial RunConfigured for every job at every
+// bitwise identical to serial RunConfiguredCtx for every job at every
 // worker count and tile size, including jobs that share one compiled
 // circuit.
 func TestRunBatchMatchesSerial(t *testing.T) {
@@ -224,7 +224,7 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 	}
 	want := make([]*State, len(jobs))
 	for i, j := range jobs {
-		s, err := RunConfigured(j.Circuit, j.Init, RunConfig{Workers: 1})
+		s, err := RunConfiguredCtx(context.Background(), j.Circuit, j.Init, RunConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

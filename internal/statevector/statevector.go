@@ -42,28 +42,29 @@ type State struct {
 	n       int
 	amp     []complex128
 	workers int // kernel shard count; 0 = auto (GOMAXPROCS above threshold)
-	// ctx carries the active trace span while RunConfiguredCtx drives
-	// the state, so kernel shard fan-outs parent their worker spans
-	// under the "sim.run" span. Nil outside a traced run.
+	// ctx parents the kernel shard fan-outs' worker spans: the context
+	// the state was created under, narrowed to the "sim.run" span while
+	// RunConfiguredCtx drives the state.
 	ctx context.Context
 }
 
-// New returns the all-zeros computational basis state |0...0⟩.
-func New(n int) (*State, error) {
+// New returns the all-zeros computational basis state |0...0⟩. Kernel
+// shard fan-outs on the state run under ctx.
+func New(ctx context.Context, n int) (*State, error) {
 	if n <= 0 || n > MaxQubits {
 		return nil, fmt.Errorf("statevector: width %d outside (0,%d]", n, MaxQubits)
 	}
-	s := &State{n: n, amp: make([]complex128, 1<<uint(n))}
+	s := &State{n: n, amp: make([]complex128, 1<<uint(n)), ctx: ctx}
 	s.amp[0] = 1
 	return s, nil
 }
 
-// NewBasis returns the computational basis state |b⟩.
-func NewBasis(n int, b bitstring.BitString) (*State, error) {
+// NewBasis returns the computational basis state |b⟩ (see New).
+func NewBasis(ctx context.Context, n int, b bitstring.BitString) (*State, error) {
 	if uint64(b) >= uint64(1)<<uint(n) {
 		return nil, fmt.Errorf("statevector: basis state %d outside %d-qubit register", b, n)
 	}
-	s, err := New(n)
+	s, err := New(ctx, n)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +103,7 @@ func (s *State) Reset(b bitstring.BitString) error {
 
 // Clone returns a deep copy.
 func (s *State) Clone() *State {
-	c := &State{n: s.n, amp: make([]complex128, len(s.amp)), workers: s.workers}
+	c := &State{n: s.n, amp: make([]complex128, len(s.amp)), workers: s.workers, ctx: s.ctx}
 	copy(c.amp, s.amp)
 	return c
 }
@@ -182,33 +183,11 @@ type RunConfig struct {
 	TileBits int
 }
 
-// Run applies every gate of the circuit to a fresh |0...0⟩ state and
-// returns the final state.
-func Run(c *circuit.Circuit) (*State, error) {
-	return RunConfiguredCtx(context.Background(), c, 0, RunConfig{})
-}
-
-// RunCtx is Run with trace-context propagation (see RunConfiguredCtx).
-func RunCtx(ctx context.Context, c *circuit.Circuit) (*State, error) {
-	return RunConfiguredCtx(ctx, c, 0, RunConfig{})
-}
-
-// RunFrom applies the circuit to the basis state |init⟩.
-func RunFrom(c *circuit.Circuit, init bitstring.BitString) (*State, error) {
-	return RunConfiguredCtx(context.Background(), c, init, RunConfig{})
-}
-
-// RunConfigured applies the circuit to |init⟩ with explicit engine
+// RunConfiguredCtx applies the circuit to |init⟩ with explicit engine
 // configuration. The whole gate list is compiled (and, unless NoFuse is
-// set, fused) before any amplitude is touched.
-func RunConfigured(c *circuit.Circuit, init bitstring.BitString, cfg RunConfig) (*State, error) {
-	return RunConfiguredCtx(context.Background(), c, init, cfg)
-}
-
-// RunConfiguredCtx is RunConfigured with trace-context propagation: the
-// "sim.run" span parents under the span active in ctx, and while the
-// run is live the amplitude shard fan-outs parent their "par.worker"
-// spans under it.
+// set, fused) before any amplitude is touched. The "sim.run" span
+// parents under the span active in ctx, and while the run is live the
+// amplitude shard fan-outs parent their "par.worker" spans under it.
 func RunConfiguredCtx(ctx context.Context, c *circuit.Circuit, init bitstring.BitString, cfg RunConfig) (*State, error) {
 	if err := c.Err(); err != nil {
 		return nil, err
@@ -217,7 +196,7 @@ func RunConfiguredCtx(ctx context.Context, c *circuit.Circuit, init bitstring.Bi
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewBasis(c.N, init)
+	s, err := NewBasis(ctx, c.N, init)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +205,7 @@ func RunConfiguredCtx(ctx context.Context, c *circuit.Circuit, init bitstring.Bi
 	s.ctx = runCtx
 	t0 := time.Now() //qbeep:allow-time span/metric timing, not kernel state
 	err = s.RunProgramTiled(p, cfg.TileBits)
-	s.ctx = nil
+	s.ctx = ctx
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -244,15 +223,10 @@ func RunConfiguredCtx(ctx context.Context, c *circuit.Circuit, init bitstring.Bi
 	return s, nil
 }
 
-// IdealDist returns the exact output distribution of the circuit (scaled to
-// probability 1): the paper's "true solution" reference.
-func IdealDist(c *circuit.Circuit) (*bitstring.Dist, error) {
-	return IdealDistCtx(context.Background(), c)
-}
-
-// IdealDistCtx is IdealDist with trace-context propagation.
+// IdealDistCtx returns the exact output distribution of the circuit
+// (scaled to probability 1): the paper's "true solution" reference.
 func IdealDistCtx(ctx context.Context, c *circuit.Circuit) (*bitstring.Dist, error) {
-	s, err := RunCtx(ctx, c)
+	s, err := RunConfiguredCtx(ctx, c, 0, RunConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package statevector
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -15,7 +16,7 @@ func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func mustRun(t *testing.T, c *circuit.Circuit) *State {
 	t.Helper()
-	s, err := Run(c)
+	s, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,13 +24,13 @@ func mustRun(t *testing.T, c *circuit.Circuit) *State {
 }
 
 func TestNewBounds(t *testing.T) {
-	if _, err := New(0); err == nil {
+	if _, err := New(context.Background(), 0); err == nil {
 		t.Error("width 0 should error")
 	}
-	if _, err := New(MaxQubits + 1); err == nil {
+	if _, err := New(context.Background(), MaxQubits+1); err == nil {
 		t.Error("over-max width should error")
 	}
-	s, err := New(3)
+	s, err := New(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +40,14 @@ func TestNewBounds(t *testing.T) {
 }
 
 func TestNewBasis(t *testing.T) {
-	s, err := NewBasis(3, 0b101)
+	s, err := NewBasis(context.Background(), 3, 0b101)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Prob(0b101) != 1 || s.Prob(0) != 0 {
 		t.Error("basis state wrong")
 	}
-	if _, err := NewBasis(2, 4); err == nil {
+	if _, err := NewBasis(context.Background(), 2, 4); err == nil {
 		t.Error("out-of-range basis should error")
 	}
 }
@@ -233,7 +234,7 @@ func TestNormPreservedRandomCircuit(t *testing.T) {
 				c.Append(circuit.Gate{Kind: k, Qubits: []int{q, q2}})
 			}
 		}
-		s, err := Run(c)
+		s, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{})
 		return err == nil && approx(s.Norm(), 1, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -280,7 +281,7 @@ func TestSampleConvergence(t *testing.T) {
 func TestRunFromInitialState(t *testing.T) {
 	// X on qubit 1 from |01⟩ gives |11⟩.
 	c := circuit.New("x1", 2).X(1)
-	s, err := RunFrom(c, 0b01)
+	s, err := RunConfiguredCtx(context.Background(), c, 0b01, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestRunFromInitialState(t *testing.T) {
 
 func TestRunPropagatesBuildError(t *testing.T) {
 	c := circuit.New("bad", 2).H(7)
-	if _, err := Run(c); err == nil {
+	if _, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{}); err == nil {
 		t.Error("expected build error to propagate")
 	}
 }
@@ -313,7 +314,7 @@ func TestIdealDistBV(t *testing.T) {
 	for q := 0; q < n; q++ {
 		c.H(q)
 	}
-	d, err := IdealDist(c)
+	d, err := IdealDistCtx(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +327,8 @@ func TestIdealDistBV(t *testing.T) {
 }
 
 func TestFidelityWithMismatch(t *testing.T) {
-	a, _ := New(2)
-	b, _ := New(3)
+	a, _ := New(context.Background(), 2)
+	b, _ := New(context.Background(), 3)
 	if _, err := a.FidelityWith(b); err == nil {
 		t.Error("width mismatch should error")
 	}
@@ -337,7 +338,7 @@ func TestGlobalPhaseInvariance(t *testing.T) {
 	// Z X Z X = -I: the result differs from I only by global phase, so
 	// fidelity with the untouched state is 1.
 	a := mustRun(t, circuit.New("zxzx", 1).Z(0).X(0).Z(0).X(0))
-	b, _ := New(1)
+	b, _ := New(context.Background(), 1)
 	f, _ := a.FidelityWith(b)
 	if !approx(f, 1, 1e-12) {
 		t.Errorf("global phase changed fidelity: %v", f)
@@ -354,7 +355,7 @@ func BenchmarkRun12QubitGHZ(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(c); err != nil {
+		if _, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -365,7 +366,7 @@ func BenchmarkSample4096Shots(b *testing.B) {
 	for q := 0; q < 9; q++ {
 		c.CX(q, q+1)
 	}
-	s, err := Run(c)
+	s, err := RunConfiguredCtx(context.Background(), c, 0, RunConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

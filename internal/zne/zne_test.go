@@ -1,6 +1,7 @@
 package zne
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -81,11 +82,11 @@ func TestFoldPreservesSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sa, err := statevector.Run(c)
+			sa, err := statevector.RunConfiguredCtx(context.Background(), c, 0, statevector.RunConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sb, err := statevector.Run(f)
+			sb, err := statevector.RunConfiguredCtx(context.Background(), f, 0, statevector.RunConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,8 +104,8 @@ func TestFoldCCXSelfInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, _ := statevector.Run(c)
-	sb, _ := statevector.Run(f)
+	sa, _ := statevector.RunConfiguredCtx(context.Background(), c, 0, statevector.RunConfig{})
+	sb, _ := statevector.RunConfiguredCtx(context.Background(), f, 0, statevector.RunConfig{})
 	fid, _ := sa.FidelityWith(sb)
 	if !approx(fid, 1, 1e-12) {
 		t.Errorf("CCX folding broke semantics: %v", fid)
@@ -168,7 +169,7 @@ func TestZNERecoversExpectationOnExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := exec.Execute(folded, 4096, rng)
+		run, err := exec.ExecuteCtx(context.Background(), folded, 4096, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
