@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint gcfacts test race bench-smoke bench-core bench-sim bench-gate bench-record fuzz-smoke obs-smoke quality-gate quality-baseline ci
+.PHONY: all build vet lint gcfacts test race bench-smoke bench-core bench-sim bench-gate bench-record fuzz-smoke obs-smoke quality-gate quality-baseline loc ci
 
 # Extra worker counts the determinism tests sweep on top of their
 # built-in {1, 4, GOMAXPROCS} matrix. Comma-separated. The matrix
@@ -142,5 +142,11 @@ quality-baseline:
 	@set -e; rm -rf .quality-gate; mkdir -p .quality-gate; \
 	$(GO) run ./cmd/qbeep-experiments -fig 7 -scale 0.05 -shots 1024 -run-ledger .quality-gate/runs.ndjson > .quality-gate/stdout.txt; \
 	$(GO) run ./cmd/qbeep-ledger -write-baseline QUALITY_baseline.json -commit "$$(git rev-parse --short HEAD)" .quality-gate/runs.ndjson
+
+# loc: the footprint figure CHANGES.md records per change — lines of
+# tracked non-test Go, i.e. every `git ls-files '*.go'` path except
+# _test.go files and testdata/ fixtures.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l
 
 ci: vet lint test race bench-smoke obs-smoke bench-gate quality-gate

@@ -37,7 +37,7 @@ func run() error {
 		qasmPath    = flag.String("qasm", "", "OpenQASM 2.0 circuit (required)")
 		backend     = flag.String("backend", "istanbul", "backend name (see qbeep-backends)")
 		shots       = flag.Int("shots", 4096, "shots")
-		batch       = flag.Int("batch", 1, "shot blocks fanned across the worker pool (1 = serial)")
+		batch       = flag.Int("batch", 1, "shot blocks fanned across the worker pool (<=1 = serial stream; >1 = a per-block stream, deterministic in (seed, batch), not equal to the serial counts)")
 		seed        = flag.Uint64("seed", 1, "noise RNG seed")
 		ideal       = flag.Bool("ideal", false, "emit the noiseless distribution instead")
 		meta        = flag.Bool("meta", false, "wrap counts in the metadata envelope (backend, shots, lambda)")

@@ -49,11 +49,11 @@ func Ablations(ctx context.Context, cfg Config) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	exec, err := noise.NewExecutor(b, noise.DefaultModel())
+	exec, err := noise.NewExecutor(b, cfg.model())
 	if err != nil {
 		return nil, err
 	}
-	run, err := exec.ExecuteBatchCtx(ctx, w.Circuit, cfg.Shots, cfg.Batch, cfg.rng(99))
+	run, err := exec.ExecuteCtx(ctx, w.Circuit, cfg.Shots, cfg.rng(99))
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 
 	"qbeep/internal/core"
 	"qbeep/internal/mathx"
+	"qbeep/internal/noise"
 )
 
 // Config controls workload sizes and reporting for all runners.
@@ -34,10 +35,10 @@ type Config struct {
 	// TopK, when > 0, runs every mitigation in approximate mode keeping
 	// only the k heaviest edges per vertex. 0 is the exact engine.
 	TopK int
-	// Batch, when > 1, splits every induction's shot loop into that many
-	// blocks fanned across the worker pool (noise.ExecuteBatchCtx).
-	// Counts depend on (Seed, Batch) but not on worker count; 0 or 1 is
-	// the serial shot loop.
+	// Batch sets noise.Model.Blocks for every induction: when > 1, each
+	// shot loop splits into that many blocks fanned across the worker
+	// pool. Counts depend on (Seed, Batch) but not on worker count, and
+	// differ from the serial stream; 0 or 1 is the serial shot loop.
 	Batch int
 	// Out receives the printed tables; nil discards them.
 	Out io.Writer
@@ -90,6 +91,14 @@ func (c *Config) mitigateOptions() core.Options {
 	opts.ConvergeTol = c.ConvergeTol
 	opts.TopK = c.TopK
 	return opts
+}
+
+// model returns the noise model every induction runs under: the default
+// hardware-like model with the config's shot blocks.
+func (c *Config) model() noise.Model {
+	m := noise.DefaultModel()
+	m.Blocks = c.Batch
+	return m
 }
 
 // scaled returns max(minimum, round(n·Scale)).

@@ -93,7 +93,7 @@ func Figure7(ctx context.Context, cfg Config) (*Figure7Result, error) {
 	traces := make([][]float64, len(tasks))
 	_, err = par.ForEach(ctx, len(tasks), 0, func(ctx context.Context, i int) error {
 		tk := tasks[i]
-		out, err := runWorkload(ctx, tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, tk.track)
+		out, err := runWorkload(ctx, tk.w, tk.b, cfg.Shots, cfg.model(), cfg.mitigateOptions(), tk.rng, tk.track)
 		if err != nil {
 			return err
 		}

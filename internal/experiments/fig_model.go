@@ -87,7 +87,7 @@ func Figure6(ctx context.Context, cfg Config) (*Figure6Result, error) {
 	samples := make([]*ModelDistances, len(tasks))
 	_, err = par.ForEach(ctx, len(tasks), 0, func(ctx context.Context, i int) error {
 		tk := tasks[i]
-		out, err := runWorkload(ctx, tk.w, tk.b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), tk.rng, false)
+		out, err := runWorkload(ctx, tk.w, tk.b, cfg.Shots, cfg.model(), cfg.mitigateOptions(), tk.rng, false)
 		if err != nil {
 			return err
 		}

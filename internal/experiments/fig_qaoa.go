@@ -70,11 +70,11 @@ func Figure10(ctx context.Context, cfg Config) (*Figure10Result, error) {
 	_, err = par.ForEach(ctx, len(instances), 0, func(ctx context.Context, i int) error {
 		inst := instances[i]
 		b := backends[i%len(backends)]
-		exec, err := noise.NewExecutor(b, noise.DefaultModel())
+		exec, err := noise.NewExecutor(b, cfg.model())
 		if err != nil {
 			return err
 		}
-		run, err := exec.ExecuteBatchCtx(ctx, inst.Circuit, cfg.Shots, cfg.Batch, rngs[i])
+		run, err := exec.ExecuteCtx(ctx, inst.Circuit, cfg.Shots, rngs[i])
 		if err != nil {
 			return err
 		}

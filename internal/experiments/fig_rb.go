@@ -136,11 +136,11 @@ func rbSweep(ctx context.Context, count, n int, backends []*device.Backend, cfg 
 	points := make([]RBPoint, count)
 	_, err := par.ForEach(ctx, count, 0, func(ctx context.Context, i int) error {
 		w, b := tasks[i].w, tasks[i].b
-		exec, err := noise.NewExecutor(b, noise.DefaultModel())
+		exec, err := noise.NewExecutor(b, cfg.model())
 		if err != nil {
 			return err
 		}
-		run, err := exec.ExecuteBatchCtx(ctx, w.Circuit, cfg.Shots, cfg.Batch, tasks[i].rng)
+		run, err := exec.ExecuteCtx(ctx, w.Circuit, cfg.Shots, tasks[i].rng)
 		if err != nil {
 			return err
 		}

@@ -68,7 +68,7 @@ func Figure1(ctx context.Context, cfg Config) (*Figure1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := runWorkload(ctx, w, b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), rng, false)
+	out, err := runWorkload(ctx, w, b, cfg.Shots, cfg.model(), cfg.mitigateOptions(), rng, false)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func spectrumForBV(ctx context.Context, n int, backend string, cfg Config, rng *
 	if err != nil {
 		return nil, err
 	}
-	out, err := runWorkload(ctx, w, b, cfg.Shots, cfg.Batch, cfg.mitigateOptions(), rng, false)
+	out, err := runWorkload(ctx, w, b, cfg.Shots, cfg.model(), cfg.mitigateOptions(), rng, false)
 	if err != nil {
 		return nil, err
 	}

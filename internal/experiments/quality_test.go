@@ -25,7 +25,7 @@ func runQualityWorkload(t *testing.T) *Outcome {
 		t.Fatal(err)
 	}
 	cfg := QuickConfig()
-	out, err := runWorkload(context.Background(), w, b, 256, 1, cfg.mitigateOptions(), mathx.NewRNG(99), false)
+	out, err := runWorkload(context.Background(), w, b, 256, cfg.model(), cfg.mitigateOptions(), mathx.NewRNG(99), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,23 +28,22 @@ type Outcome struct {
 	Trace    []float64 // per-iteration fidelity when tracked
 }
 
-// runWorkload executes the workload on the backend under the default
-// hardware-like noise model and applies Q-BEEP (Eq. 2 λ, with the
+// runWorkload executes the workload on the backend under the noise
+// model (Config.model: the default hardware-like model with the
+// config's shot blocks) and applies Q-BEEP (Eq. 2 λ, with the
 // caller's core options — iteration schedule, convergence tolerance,
-// top-k mode) and HAMMER. batch > 1 fans the shot loop across the
-// worker pool (see Config.Batch; ExecuteBatchCtx runs the serial shot
-// loop when batch <= 1). track enables the per-iteration
+// top-k mode) and HAMMER. track enables the per-iteration
 // fidelity trace (costs one fidelity evaluation per iteration). Every
 // completed workload is logged at info level (circuit, backend,
 // elapsed) — the progress feed for multi-minute figure runs. The
 // induction's and mitigation's spans parent under ctx.
-func runWorkload(ctx context.Context, w *algorithms.Workload, b *device.Backend, shots, batch int, opts core.Options, rng *mathx.RNG, track bool) (*Outcome, error) {
+func runWorkload(ctx context.Context, w *algorithms.Workload, b *device.Backend, shots int, model noise.Model, opts core.Options, rng *mathx.RNG, track bool) (*Outcome, error) {
 	t0 := time.Now()
-	exec, err := noise.NewExecutor(b, noise.DefaultModel())
+	exec, err := noise.NewExecutor(b, model)
 	if err != nil {
 		return nil, err
 	}
-	run, err := exec.ExecuteBatchCtx(ctx, w.Circuit, shots, batch, rng)
+	run, err := exec.ExecuteCtx(ctx, w.Circuit, shots, rng)
 	if err != nil {
 		return nil, fmt.Errorf("executing %s on %s: %w", w.Circuit.Name, b.Name, err)
 	}

@@ -127,33 +127,11 @@ func (e *DensityExecutor) ExecuteExactCtx(ctx context.Context, c *circuit.Circui
 		if rng == nil {
 			return nil, nil, fmt.Errorf("noise: nil RNG with shots > 0")
 		}
-		sampled = sampleDist(exact, shots, rng)
+		outcomes, cum := outcomeDraw(exact)
+		sampled = bitstring.NewDist(exact.Width())
+		for s := 0; s < shots; s++ {
+			sampled.Add(outcomes[cum.draw(rng)], 1)
+		}
 	}
 	return exact, sampled, nil
-}
-
-// sampleDist draws shots outcomes from a probability distribution.
-func sampleDist(p *bitstring.Dist, shots int, rng *mathx.RNG) *bitstring.Dist {
-	outcomes := p.Outcomes()
-	cum := make([]float64, len(outcomes))
-	var acc float64
-	for i, o := range outcomes {
-		acc += p.Count(o)
-		cum[i] = acc
-	}
-	out := bitstring.NewDist(p.Width())
-	for s := 0; s < shots; s++ {
-		u := rng.Float64() * acc
-		lo, hi := 0, len(cum)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		out.Add(outcomes[lo], 1)
-	}
-	return out
 }

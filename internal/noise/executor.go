@@ -24,6 +24,9 @@ var (
 	metShotsPerSec = obs.Default.Gauge("noise.shots_per_sec")
 	metBurstEvents = obs.Default.Counter("noise.burst.events")
 	metBurstFlips  = obs.Default.Counter("noise.burst.flips")
+	// Pool occupancy (busy fraction) of the most recent blocked
+	// induction (Model.Blocks > 1).
+	metBatchOccupancy = obs.Default.Gauge("sim.batch.occupancy")
 )
 
 // Run is the outcome of a noisy induction: the raw logical counts, the
@@ -65,12 +68,6 @@ func (e *Executor) Backend() *device.Backend { return e.backend }
 // width, not the physical device size. The transpile and noise.execute
 // spans parent under the span active in ctx.
 func (e *Executor) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int, rng *mathx.RNG) (*Run, error) {
-	if shots <= 0 {
-		return nil, fmt.Errorf("noise: shots %d must be positive", shots)
-	}
-	if c.N > statevector.MaxQubits {
-		return nil, fmt.Errorf("noise: %d logical qubits exceeds simulator limit %d", c.N, statevector.MaxQubits)
-	}
 	res, err := transpile.TranspileCtx(ctx, c, e.backend, nil)
 	if err != nil {
 		return nil, err
@@ -82,10 +79,32 @@ func (e *Executor) ExecuteCtx(ctx context.Context, c *circuit.Circuit, shots int
 // (the caller controls layout / reuses the artifact). The
 // "noise.execute" span covers the ideal reference run (its "sim.run"
 // child), rate derivation, and sampling.
+//
+// With Model.Blocks <= 1 every shot draws from rng in sequence. With
+// Model.Blocks > 1 the shot loop splits into that many blocks fanned
+// across the shared par pool under a "sim.batch" span: each block
+// samples from its own stream keyed by (rng's first Uint64, block
+// index), and block counts merge in block order. Block counts are
+// therefore deterministic for a given (seed, blocks) at any worker
+// count, but they come from a different stream family than the serial
+// draw: statistically equivalent to it, not bitwise equal.
 func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Circuit, res *transpile.Result, shots int, rng *mathx.RNG) (*Run, error) {
+	if shots <= 0 {
+		return nil, fmt.Errorf("noise: shots %d must be positive", shots)
+	}
+	if logical.N > statevector.MaxQubits {
+		return nil, fmt.Errorf("noise: %d logical qubits exceeds simulator limit %d", logical.N, statevector.MaxQubits)
+	}
+	if res == nil || res.Circuit == nil {
+		return nil, fmt.Errorf("noise: nil transpile result")
+	}
+	if len(res.Final) < logical.N {
+		return nil, fmt.Errorf("noise: transpile result maps %d qubits, circuit %q has %d",
+			len(res.Final), logical.Name, logical.N)
+	}
 	ctx, sp := obs.Start(ctx, "noise.execute")
-	// Ending via defer keeps the span from leaking on the ideal-run and
-	// rates error returns (qbeep-lint spanend).
+	// Ending via defer keeps the span from leaking on the ideal-run,
+	// rates and fan-out error returns (qbeep-lint spanend).
 	defer sp.End()
 	ideal, err := statevector.IdealDistCtx(ctx, logical)
 	if err != nil {
@@ -95,8 +114,19 @@ func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Ci
 	if err != nil {
 		return nil, err
 	}
+	ns := e.newNoisySampler(logical, ideal, res, rates)
 	t0 := time.Now() //qbeep:allow-time span/metric timing, not kernel state
-	counts := e.sampleNoisy(logical, ideal, res, rates, shots, rng)
+	blocks := 1
+	counts := bitstring.NewDist(logical.N)
+	if e.model.Blocks <= 1 {
+		ns.sample(shots, rng, counts)
+	} else {
+		blocks = min(e.model.Blocks, shots)
+		if err := ns.sampleBlocks(ctx, shots, blocks, rng, counts); err != nil {
+			return nil, err
+		}
+		sp.SetAttr("blocks", blocks)
+	}
 	elapsed := time.Since(t0) //qbeep:allow-time span/metric timing, not kernel state
 	metExecute.ObserveDuration(elapsed)
 	metShots.Add(int64(shots))
@@ -107,111 +137,6 @@ func (e *Executor) ExecuteTranspiledCtx(ctx context.Context, logical *circuit.Ci
 	sp.SetAttr("shots", shots)
 	obs.Logger().Debug("noisy induction",
 		"circuit", logical.Name, "backend", e.backend.Name,
-		"shots", shots, "elapsed", elapsed)
-	return &Run{
-		Counts:     counts,
-		Ideal:      ideal,
-		Transpiled: res,
-		Rates:      rates,
-		Shots:      shots,
-	}, nil
-}
-
-// ExecuteBatchCtx is ExecuteCtx with the shot loop split into blocks and
-// fanned across the shared par pool. Transpilation, the ideal reference
-// run and rate derivation happen once; each block then samples from its
-// own RNG stream keyed by (rng's first Uint64, block index), and block
-// counts merge in block order. Counts are therefore deterministic for a
-// given (seed, blocks) at any worker count — but the stream family
-// differs from the serial ExecuteCtx draw sequence, so batch counts are
-// statistically equivalent to serial counts, not bitwise equal to them.
-// blocks <= 1 falls back to the serial path.
-func (e *Executor) ExecuteBatchCtx(ctx context.Context, c *circuit.Circuit, shots, blocks int, rng *mathx.RNG) (*Run, error) {
-	if blocks <= 1 {
-		return e.ExecuteCtx(ctx, c, shots, rng)
-	}
-	if shots <= 0 {
-		return nil, fmt.Errorf("noise: shots %d must be positive", shots)
-	}
-	if c.N > statevector.MaxQubits {
-		return nil, fmt.Errorf("noise: %d logical qubits exceeds simulator limit %d", c.N, statevector.MaxQubits)
-	}
-	res, err := transpile.TranspileCtx(ctx, c, e.backend, nil)
-	if err != nil {
-		return nil, err
-	}
-	if blocks > shots {
-		blocks = shots
-	}
-
-	ctx, sp := obs.Start(ctx, "noise.execute")
-	defer sp.End()
-	ideal, err := statevector.IdealDistCtx(ctx, c)
-	if err != nil {
-		return nil, err
-	}
-	rates, err := Rates(res, e.backend, e.model)
-	if err != nil {
-		return nil, err
-	}
-	ns := e.newNoisySampler(c, ideal, res, rates)
-	// One base drawn from the caller's generator keys every block stream,
-	// so the whole batch consumes exactly one value of the caller's RNG.
-	base := rng.Uint64()
-	chunk := (shots + blocks - 1) / blocks
-
-	t0 := time.Now() //qbeep:allow-time span/metric timing, not kernel state
-	bctx, bsp := obs.Start(ctx, "sim.batch")
-	locals := make([]*bitstring.Dist, blocks)
-	stats, perr := par.ForEach(bctx, blocks, 0, func(_ context.Context, b int) error {
-		lo := b * chunk
-		hi := lo + chunk
-		if hi > shots {
-			hi = shots
-		}
-		if lo >= hi {
-			return nil
-		}
-		brng := mathx.NewStream(base, uint64(b))
-		locals[b] = bitstring.NewDist(c.N)
-		ns.sample(hi-lo, brng, locals[b])
-		return nil
-	})
-	occupancy := stats.Utilization()
-	bsp.SetAttr("blocks", blocks)
-	bsp.SetAttr("shots", shots)
-	bsp.SetAttr("occupancy", occupancy)
-	bsp.End()
-	if perr != nil {
-		return nil, perr
-	}
-
-	// Merge in block order: integral counts make the fold exact and the
-	// order canonical regardless of which worker finished first.
-	counts := bitstring.NewDist(c.N)
-	var outs []bitstring.BitString
-	for _, l := range locals {
-		if l == nil {
-			continue
-		}
-		outs = l.OutcomesInto(outs)
-		for _, v := range outs {
-			counts.Add(v, l.Count(v))
-		}
-	}
-
-	elapsed := time.Since(t0) //qbeep:allow-time span/metric timing, not kernel state
-	metExecute.ObserveDuration(elapsed)
-	metShots.Add(int64(shots))
-	if secs := elapsed.Seconds(); secs > 0 {
-		metShotsPerSec.Set(float64(shots) / secs)
-	}
-	metBatchOccupancy.Set(occupancy)
-	sp.SetAttr("circuit", c.Name)
-	sp.SetAttr("shots", shots)
-	sp.SetAttr("blocks", blocks)
-	obs.Logger().Debug("noisy batch induction",
-		"circuit", c.Name, "backend", e.backend.Name,
 		"shots", shots, "blocks", blocks, "elapsed", elapsed)
 	return &Run{
 		Counts:     counts,
@@ -222,15 +147,47 @@ func (e *Executor) ExecuteBatchCtx(ctx context.Context, c *circuit.Circuit, shot
 	}, nil
 }
 
-// sampleNoisy draws shots outcomes: an ideal sample perturbed by flip
-// events from each enabled channel.
-func (e *Executor) sampleNoisy(logical *circuit.Circuit, ideal *bitstring.Dist,
-	res *transpile.Result, rates EventRates, shots int, rng *mathx.RNG) *bitstring.Dist {
-
-	ns := e.newNoisySampler(logical, ideal, res, rates)
-	counts := bitstring.NewDist(logical.N)
-	ns.sample(shots, rng, counts)
-	return counts
+// sampleBlocks draws shots outcomes into counts as blocks equal shot
+// ranges fanned across the par pool. One base drawn from rng keys every
+// block stream, so the caller's generator advances by exactly one
+// Uint64. Block-local counts merge in block order: integral counts make
+// the fold exact and the order canonical regardless of which worker
+// finished first.
+func (ns *noisySampler) sampleBlocks(ctx context.Context, shots, blocks int, rng *mathx.RNG, counts *bitstring.Dist) error {
+	base := rng.Uint64()
+	chunk := (shots + blocks - 1) / blocks
+	ctx, sp := obs.Start(ctx, "sim.batch")
+	defer sp.End()
+	locals := make([]*bitstring.Dist, blocks)
+	stats, err := par.ForEach(ctx, blocks, 0, func(_ context.Context, b int) error {
+		lo := b * chunk
+		hi := min(lo+chunk, shots)
+		if lo >= hi {
+			return nil
+		}
+		locals[b] = bitstring.NewDist(ns.n)
+		ns.sample(hi-lo, mathx.NewStream(base, uint64(b)), locals[b])
+		return nil
+	})
+	occupancy := stats.Utilization()
+	sp.SetAttr("blocks", blocks)
+	sp.SetAttr("shots", shots)
+	sp.SetAttr("occupancy", occupancy)
+	if err != nil {
+		return err
+	}
+	var outs []bitstring.BitString
+	for _, l := range locals {
+		if l == nil {
+			continue
+		}
+		outs = l.OutcomesInto(outs)
+		for _, v := range outs {
+			counts.Add(v, l.Count(v))
+		}
+	}
+	metBatchOccupancy.Set(occupancy)
+	return nil
 }
 
 // noisySampler is the shot loop of the failure-event model with every
@@ -242,10 +199,9 @@ type noisySampler struct {
 	model Model
 	n     int
 
-	// Cumulative ideal distribution for sampling.
+	// Ideal outcomes and their cumulative weights.
 	outcomes []bitstring.BitString
-	cum      []float64
-	acc      float64
+	ideal    cumDraw
 
 	// Per-qubit channel probabilities (logical index -> physical calib).
 	pDecay   []float64
@@ -253,9 +209,8 @@ type noisySampler struct {
 	pReadout []float64
 
 	// Pooled gate-error events (see newNoisySampler).
-	gateCum   []float64
-	gateTotal float64
-	gatePois  mathx.Poisson
+	gate     cumDraw
+	gatePois mathx.Poisson
 
 	walkAdj   [][]int
 	burst     float64
@@ -270,12 +225,7 @@ func (e *Executor) newNoisySampler(logical *circuit.Circuit, ideal *bitstring.Di
 
 	n := logical.N
 	ns := &noisySampler{model: e.model, n: n, burst: rates.Burst}
-	ns.outcomes = ideal.Outcomes()
-	ns.cum = make([]float64, len(ns.outcomes))
-	for i, o := range ns.outcomes {
-		ns.acc += ideal.Count(o)
-		ns.cum[i] = ns.acc
-	}
+	ns.outcomes, ns.ideal = outcomeDraw(ideal)
 
 	ns.pDecay = make([]float64, n)
 	ns.pDephase = make([]float64, n)
@@ -337,43 +287,52 @@ func (e *Executor) newNoisySampler(logical *circuit.Circuit, ideal *bitstring.Di
 	// generative model: independent failure events with a stable rate):
 	// K ~ Poisson(Σ gateWeight) flips per shot, each landing on a qubit
 	// drawn proportionally to its share of the gate-error budget.
-	ns.gateCum = make([]float64, n)
-	for l := 0; l < n; l++ {
-		ns.gateTotal += gateWeight[l]
-		ns.gateCum[l] = ns.gateTotal
+	ns.gate.cum = make([]float64, 0, n)
+	for _, w := range gateWeight {
+		ns.gate.add(w)
 	}
-	ns.gatePois = mathx.Poisson{Lambda: ns.gateTotal}
+	ns.gatePois = mathx.Poisson{Lambda: ns.gate.total}
 	return ns
 }
 
-// sampleIdeal draws one outcome from the cumulative ideal distribution.
-func (ns *noisySampler) sampleIdeal(rng *mathx.RNG) bitstring.BitString {
-	u := rng.Float64() * ns.acc
-	lo, hi := 0, len(ns.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ns.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return ns.outcomes[lo]
+// cumDraw is a cumulative weight table sampled by binary search: the one
+// categorical draw every sampler in this package shares.
+type cumDraw struct {
+	cum   []float64
+	total float64
 }
 
-// sampleGateQubit draws the landing qubit of one pooled gate-error event.
-func (ns *noisySampler) sampleGateQubit(rng *mathx.RNG) int {
-	u := rng.Float64() * ns.gateTotal
-	lo, hi := 0, ns.n-1
+// add appends one weight to the table.
+func (c *cumDraw) add(w float64) {
+	c.total += w
+	c.cum = append(c.cum, c.total)
+}
+
+// draw returns the index of the first entry whose running sum reaches a
+// uniform point in [0, total).
+func (c *cumDraw) draw(rng *mathx.RNG) int {
+	u := rng.Float64() * c.total
+	lo, hi := 0, len(c.cum)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if ns.gateCum[mid] < u {
+		if c.cum[mid] < u {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	return lo
+}
+
+// outcomeDraw returns d's outcomes in ascending order and the cumulative
+// table of their counts.
+func outcomeDraw(d *bitstring.Dist) ([]bitstring.BitString, cumDraw) {
+	outs := d.Outcomes()
+	c := cumDraw{cum: make([]float64, 0, len(outs))}
+	for _, o := range outs {
+		c.add(d.Count(o))
+	}
+	return outs, c
 }
 
 // sample draws shots outcomes from rng into counts. The draw sequence is
@@ -385,7 +344,7 @@ func (ns *noisySampler) sample(shots int, rng *mathx.RNG, counts *bitstring.Dist
 	// block, keeping the per-shot loop free of shared-memory traffic.
 	var burstEvents, burstFlips int64
 	for s := 0; s < shots; s++ {
-		v := ns.sampleIdeal(rng)
+		v := ns.outcomes[ns.ideal.draw(rng)]
 		// Per-shot drift of device conditions (non-Markovian, §3.1): one
 		// mean-normalized log-normal factor scales every time-dependent
 		// channel this shot. Readout is excluded — it is a separate,
@@ -395,14 +354,14 @@ func (ns *noisySampler) sample(shots int, rng *mathx.RNG, counts *bitstring.Dist
 			sg := ns.model.RateJitter
 			drift = math.Exp(sg*rng.NormFloat64() - sg*sg/2)
 		}
-		if ns.gateTotal > 0 {
+		if ns.gate.total > 0 {
 			pois := ns.gatePois
 			if drift != 1 { //qbeep:allow-floatcmp drift is exactly 1.0 when jitter is disabled (sentinel)
-				pois = mathx.Poisson{Lambda: ns.gateTotal * drift}
+				pois = mathx.Poisson{Lambda: ns.gate.total * drift}
 			}
 			k := pois.Sample(rng.Float64)
 			for i := 0; i < k; i++ {
-				v = v.FlipBit(ns.sampleGateQubit(rng))
+				v = v.FlipBit(ns.gate.draw(rng))
 			}
 		}
 		// Decoherence.

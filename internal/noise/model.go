@@ -1,7 +1,7 @@
 // Package noise executes transpiled circuits under a hardware-style error
 // model and produces measurement count distributions.
 //
-// Two executors are provided:
+// Three executors are provided, each with one sampling entry point:
 //
 //   - Executor (the default) implements the generative process the paper
 //     observes on real hardware (§3.1): circuit execution accumulates
@@ -9,12 +9,18 @@
 //     rate set by gate errors, decoherence over the scheduled duration,
 //     readout, and a topology-correlated burst channel. This reproduces
 //     the non-local Hamming clustering (EHD growing with gate count,
-//     IoD ≈ 1) that Q-BEEP exploits.
+//     IoD ≈ 1) that Q-BEEP exploits. ExecuteTranspiledCtx is its one
+//     sampling body; Model.Blocks selects the serial or blocked shot loop.
+//
+//   - DensityExecutor evolves the exact density matrix under calibrated
+//     Kraus channels: the small-register reference the fast executor is
+//     checked against.
 //
 //   - TrajectorySampler implements a conventional Markovian per-gate Pauli
 //     noise model on the state vector. As the paper notes, this model does
-//     NOT produce non-local clustering — we keep it as the negative
-//     control and for small-circuit validation.
+//     NOT produce non-local clustering. No figure runs it: it backs the
+//     test-side cross-check against DensityExecutor and the gated
+//     compiled-replay microbenchmark.
 package noise
 
 import (
@@ -52,6 +58,12 @@ type Model struct {
 	// compression of the Hamming spectrum, keeping the observed IoD near
 	// 1 the way hardware does. Zero disables drift.
 	RateJitter float64
+	// Blocks, when > 1, splits the shot loop into that many blocks fanned
+	// across the shared worker pool, each drawing from its own stream
+	// keyed by (seed, block index). Counts are deterministic for a given
+	// (seed, Blocks) at any worker count but differ from the serial
+	// stream; 0 or 1 is the serial shot loop.
+	Blocks int
 }
 
 // DefaultModel is the full hardware-like model used by the experiment

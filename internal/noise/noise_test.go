@@ -51,6 +51,36 @@ func TestExecuteArgs(t *testing.T) {
 	}
 }
 
+// TestExecuteTranspiledArgs pins the input checks of the one sampling
+// body: every malformed request returns an error instead of a bogus Run
+// or a panic.
+func TestExecuteTranspiledArgs(t *testing.T) {
+	b := testBackend(t)
+	e, _ := NewExecutor(b, DefaultModel())
+	res3, err := transpile.TranspileCtx(context.Background(), ghz(3), b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		c     *circuit.Circuit
+		res   *transpile.Result
+		shots int
+	}{
+		{"negative shots", ghz(3), res3, -5},
+		{"zero shots", ghz(3), res3, 0},
+		{"over-wide circuit", circuit.New("wide", 30).H(0), res3, 10},
+		{"nil result", ghz(3), nil, 10},
+		{"result without circuit", ghz(3), &transpile.Result{Final: res3.Final}, 10},
+		{"result narrower than circuit", ghz(5), res3, 10},
+	}
+	for _, tc := range cases {
+		if run, err := e.ExecuteTranspiledCtx(context.Background(), tc.c, tc.res, tc.shots, mathx.NewRNG(1)); err == nil {
+			t.Errorf("%s: got run with %d shots, want error", tc.name, run.Shots)
+		}
+	}
+}
+
 func TestNoiselessModelIsIdeal(t *testing.T) {
 	b := testBackend(t)
 	e, _ := NewExecutor(b, Model{}) // all channels off

@@ -30,8 +30,9 @@ var (
 // vector: after each gate, with the gate's calibrated error probability a
 // uniformly random Pauli is injected on one of its qubits; readout flips
 // apply at measurement. This is the conventional Markovian noise model —
-// per the paper (§3.1), it reproduces *local* Hamming clustering only,
-// which our Figure-4 negative-control experiment demonstrates.
+// per the paper (§3.1), it reproduces *local* Hamming clustering only.
+// No figure runner uses it: it is the test-side cross-check against the
+// density executor and the subject of the gated replay microbenchmark.
 //
 // Execution is compiled-program replay: SampleCtx lowers the circuit to
 // kernel ops once per call (into a scratch reused across calls), then
@@ -51,8 +52,7 @@ var (
 // shot; distributions agree statistically but not shot-for-shot.
 //
 // A TrajectorySampler is not safe for concurrent use: SampleCtx calls share
-// the arenas (and the caller's RNG). Use one sampler per goroutine, or
-// BatchSampler to fan whole requests through one pool.
+// the arenas (and the caller's RNG). Use one sampler per goroutine.
 type TrajectorySampler struct {
 	backend *device.Backend
 	workers int
@@ -184,7 +184,7 @@ func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, i
 		// difference between ~13 and ~4 steady-state allocations.
 		a := t.arenas[0]
 		a.resetCounts(c.N)
-		err = t.runShots(ctx, a, a.counts, t.steps, init, base, 0, shots)
+		err = t.runShots(ctx, a, init, base, 0, shots)
 	} else {
 		_, err = par.ForEach(ctx, workers, workers, func(ctx context.Context, w int) error {
 			lo := w * chunk
@@ -194,7 +194,7 @@ func (t *TrajectorySampler) SampleCtx(ctx context.Context, c *circuit.Circuit, i
 			}
 			a := t.arenas[w]
 			a.resetCounts(c.N)
-			return t.runShots(ctx, a, a.counts, t.steps, init, base, lo, hi)
+			return t.runShots(ctx, a, init, base, lo, hi)
 		})
 	}
 	if err != nil {
@@ -248,27 +248,14 @@ func (t *TrajectorySampler) checkRequest(c *circuit.Circuit, init bitstring.BitS
 // across calls: zero steady-state allocations) and refreshes the Pauli
 // injection table when the register width changes. Unlike the fused
 // RunConfiguredCtx pipeline this is strictly per-gate: injections happen
-// *between* gates, so each gate keeps its own kernel op.
+// *between* gates, so each gate keeps its own kernel op, annotated with
+// its injection probability.
 func (t *TrajectorySampler) compile(c *circuit.Circuit) error {
-	steps, err := t.compileSteps(c, t.steps[:0])
-	if err != nil {
-		return err
-	}
-	t.steps = steps
-	if t.pauliN != c.N {
-		t.paulis = statevector.NewPauliOps(c.N)
-		t.pauliN = c.N
-	}
-	return nil
-}
-
-// compileSteps lowers the circuit's gates into trajectory steps appended
-// to dst[:len(dst)], annotating each with its injection probability.
-func (t *TrajectorySampler) compileSteps(c *circuit.Circuit, dst []trajStep) ([]trajStep, error) {
+	t.steps = t.steps[:0]
 	for _, g := range c.Gates {
 		co, err := statevector.CompileGate(c.N, g)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		step := trajStep{op: co, inject: g.Kind.IsUnitary(), nq: len(g.Qubits)}
 		copy(step.q[:], g.Qubits)
@@ -276,9 +263,13 @@ func (t *TrajectorySampler) compileSteps(c *circuit.Circuit, dst []trajStep) ([]
 		if step.nq >= 2 {
 			step.p = t.err2q
 		}
-		dst = append(dst, step)
+		t.steps = append(t.steps, step)
 	}
-	return dst, nil
+	if t.pauliN != c.N {
+		t.paulis = statevector.NewPauliOps(c.N)
+		t.pauliN = c.N
+	}
+	return nil
 }
 
 // growArenas ensures at least n pooled worker arenas exist.
@@ -290,10 +281,9 @@ func (t *TrajectorySampler) growArenas(n int) {
 	}
 }
 
-// resetCounts readies the arena's local Dist for a width-n batch,
-// re-materializing it only on a width change. It sits on the per-task
-// path of both the trajectory and batch samplers, so it must stay
-// within the inlining budget.
+// resetCounts readies the arena's local Dist for a width-n call,
+// re-materializing it only on a width change. It sits on SampleCtx's
+// per-worker path, so it must stay within the inlining budget.
 //
 //qbeep:mustinline
 func (a *trajArena) resetCounts(n int) {
@@ -304,13 +294,13 @@ func (a *trajArena) resetCounts(n int) {
 	}
 }
 
-// runShots samples shots [lo, hi) of a compiled trajectory program into
-// dst, replaying steps on the arena's pooled state with per-shot RNG
-// streams keyed (base, shot index). The arena's state buffer
-// re-materializes only on a width change; its kernel sharding is off, so
-// the ctx it is created under never parents a fan-out.
-func (t *TrajectorySampler) runShots(ctx context.Context, a *trajArena, dst *bitstring.Dist, steps []trajStep, init bitstring.BitString, base uint64, lo, hi int) error {
-	n := dst.Width()
+// runShots samples shots [lo, hi) of the compiled program into the
+// arena's counts, replaying t.steps on the arena's pooled state with
+// per-shot RNG streams keyed (base, shot index). The arena's state
+// buffer re-materializes only on a width change; its kernel sharding is
+// off, so the ctx it is created under never parents a fan-out.
+func (t *TrajectorySampler) runShots(ctx context.Context, a *trajArena, init bitstring.BitString, base uint64, lo, hi int) error {
+	n, steps, paulis := t.pauliN, t.steps, t.paulis
 	if a.st == nil || a.st.N() != n {
 		st, err := statevector.New(ctx, n)
 		if err != nil {
@@ -320,10 +310,6 @@ func (t *TrajectorySampler) runShots(ctx context.Context, a *trajArena, dst *bit
 		// at the shot level here.
 		st.SetWorkers(1)
 		a.st = st
-	}
-	paulis := t.paulis
-	if len(paulis) != n {
-		paulis = statevector.NewPauliOps(n)
 	}
 	for s := lo; s < hi; s++ {
 		a.rng.ReseedStream(base, uint64(s))
@@ -348,7 +334,7 @@ func (t *TrajectorySampler) runShots(ctx context.Context, a *trajArena, dst *bit
 				out = out.FlipBit(q)
 			}
 		}
-		dst.Add(out, 1)
+		a.counts.Add(out, 1)
 	}
 	return nil
 }

@@ -208,60 +208,6 @@ func TestPauliOpsMatchGates(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesSerial pins the batch contract: RunBatch output is
-// bitwise identical to serial RunConfiguredCtx for every job at every
-// worker count and tile size, including jobs that share one compiled
-// circuit.
-func TestRunBatchMatchesSerial(t *testing.T) {
-	rng := mathx.NewRNG(777)
-	shared := randomCircuit(7, 45, rng)
-	jobs := []BatchJob{
-		{Circuit: shared, Init: 0},
-		{Circuit: randomCircuit(4, 25, rng), Init: 3},
-		{Circuit: shared, Init: 17}, // same circuit, different init: shares the Program
-		{Circuit: randomCircuit(9, 60, rng), Init: 0},
-		{Circuit: randomCircuit(1, 8, rng), Init: 1},
-	}
-	want := make([]*State, len(jobs))
-	for i, j := range jobs {
-		s, err := RunConfiguredCtx(context.Background(), j.Circuit, j.Init, RunConfig{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = s
-	}
-	for _, w := range workerMatrix(t) {
-		for _, tileBits := range []int{-1, 0, 3, DefaultTileBits} {
-			got, err := RunBatch(context.Background(), jobs, BatchConfig{Workers: w, TileBits: tileBits})
-			if err != nil {
-				t.Fatalf("workers=%d tileBits=%d: %v", w, tileBits, err)
-			}
-			if len(got) != len(jobs) {
-				t.Fatalf("workers=%d: %d states for %d jobs", w, len(got), len(jobs))
-			}
-			for i := range jobs {
-				for a := range want[i].amp {
-					if got[i].amp[a] != want[i].amp[a] {
-						t.Fatalf("workers=%d tileBits=%d job=%d amp[%d]: batch %v serial %v",
-							w, tileBits, i, a, got[i].amp[a], want[i].amp[a])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestRunBatchRejectsBadInput pins the validation paths.
-func TestRunBatchRejectsBadInput(t *testing.T) {
-	if _, err := RunBatch(context.Background(), nil, BatchConfig{}); err == nil {
-		t.Fatal("RunBatch accepted an empty batch")
-	}
-	jobs := []BatchJob{{Circuit: nil}}
-	if _, err := RunBatch(context.Background(), jobs, BatchConfig{}); err == nil {
-		t.Fatal("RunBatch accepted a nil circuit")
-	}
-}
-
 func boolInt(b bool) uint64 {
 	if b {
 		return 1
