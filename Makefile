@@ -51,9 +51,10 @@ test:
 # sampler) — with the widened worker-count matrix so deterministic merges
 # and amplitude shards are raced under uneven fan-outs too — plus the
 # experiment runners and the transpiler, whose figure pipelines fan out
-# through par.
+# through par, and the device catalog and the root package, whose
+# once-built backends every par worker shares.
 race:
-	QBEEP_TEST_WORKERS=$(QBEEP_TEST_WORKERS) $(GO) test -race ./internal/obs ./internal/par ./internal/core ./internal/statevector ./internal/densitymatrix ./internal/noise ./internal/experiments ./internal/transpile
+	QBEEP_TEST_WORKERS=$(QBEEP_TEST_WORKERS) $(GO) test -race ./internal/obs ./internal/par ./internal/core ./internal/statevector ./internal/densitymatrix ./internal/noise ./internal/experiments ./internal/transpile ./internal/device .
 
 # bench-smoke: one short pass over the mitigation hot path to catch
 # gross regressions (the observability layer must stay ~free when off).

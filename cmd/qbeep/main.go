@@ -36,6 +36,7 @@ import (
 	"qbeep/internal/buildinfo"
 	"qbeep/internal/core"
 	"qbeep/internal/obs"
+	"qbeep/internal/qasm"
 	"qbeep/internal/results"
 	"qbeep/internal/runledger"
 )
@@ -150,14 +151,19 @@ func pipeline(cfg config) error {
 		lam = file.Lambda
 		obs.Logger().Info("using lambda from counts envelope", "lambda", lam, "path", cfg.countsPath)
 	}
+	var src []byte
+	if cfg.qasmPath != "" {
+		if src, err = os.ReadFile(cfg.qasmPath); err != nil {
+			return err
+		}
+		if err := checkWidth(ctx, counts, string(src), cfg.qasmPath); err != nil {
+			return err
+		}
+	}
 	var qasmSrc []byte
 	if lam < 0 {
 		if cfg.qasmPath == "" || cfg.backend == "" {
 			return fmt.Errorf("provide -lambda, a counts envelope with lambda, or -qasm and -backend")
-		}
-		src, err := os.ReadFile(cfg.qasmPath)
-		if err != nil {
-			return err
 		}
 		qasmSrc = src
 		t0 = time.Now()
@@ -226,6 +232,22 @@ func pipeline(cfg config) error {
 		return err
 	}
 	return os.WriteFile(cfg.outPath, out, 0o644)
+}
+
+// checkWidth rejects counts whose bit-strings are not as wide as the
+// circuit's register: λ estimated from one circuit means nothing for the
+// counts of another. qbeep-sim writes keys of exactly the circuit width.
+func checkWidth(ctx context.Context, counts map[string]float64, qasmSrc, qasmPath string) error {
+	c, err := qasm.ParseCtx(ctx, qasmSrc)
+	if err != nil {
+		return fmt.Errorf("%s: %w", qasmPath, err)
+	}
+	for s := range counts {
+		if len(s) != c.N {
+			return fmt.Errorf("counts are %d bits wide but %s has %d qubits", len(s), qasmPath, c.N)
+		}
+	}
+	return nil
 }
 
 // recordLedger assembles and appends this run's quality record. The

@@ -344,3 +344,64 @@ measure q[1] -> c[1];
 		}
 	}
 }
+
+// TestPipelineQASMWidthCheck runs counts against a 5-qubit circuit: keys
+// of another width must be rejected before λ is estimated or mitigation
+// runs, whether or not -lambda is also given; keys of the circuit's
+// width go through.
+func TestPipelineQASMWidthCheck(t *testing.T) {
+	dir := t.TempDir()
+	qasmPath := filepath.Join(dir, "w5.qasm")
+	const src = `OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[5];
+creg c[5];
+h q[0];
+cx q[0],q[4];
+measure q[0] -> c[0];
+measure q[1] -> c[1];
+measure q[2] -> c[2];
+measure q[3] -> c[3];
+measure q[4] -> c[4];
+`
+	if err := os.WriteFile(qasmPath, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		counts string
+		lambda float64
+		ok     bool
+	}{
+		{"narrower counts", `{"000": 900, "111": 80, "101": 20}`, -1, false},
+		{"wider counts with lambda", `{"000000": 900, "100001": 100}`, 1.2, false},
+		{"matching counts", `{"00000": 900, "10001": 80, "00001": 20}`, -1, true},
+	} {
+		countsPath := filepath.Join(dir, "counts.json")
+		if err := os.WriteFile(countsPath, []byte(c.counts), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		outPath := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "-")+".json")
+		err := pipeline(config{
+			countsPath: countsPath,
+			lambda:     c.lambda,
+			qasmPath:   qasmPath,
+			backend:    "istanbul",
+			iterations: 2,
+			epsilon:    0.05,
+			outPath:    outPath,
+		})
+		if c.ok {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "has 5 qubits") {
+			t.Errorf("%s: err = %v, want a width mismatch", c.name, err)
+		}
+		if _, statErr := os.Stat(outPath); statErr == nil {
+			t.Errorf("%s: wrote output despite the mismatch", c.name)
+		}
+	}
+}

@@ -47,7 +47,7 @@ func FromCounts(n int, counts map[BitString]float64) *Dist {
 
 // FromStringCounts builds a distribution from textual outcomes, e.g. the
 // shape of an IBMQ result dictionary {"0101": 17, ...}. All keys must have
-// the same width.
+// the same width, and every count must be finite and non-negative.
 func FromStringCounts(counts map[string]float64) (*Dist, error) {
 	keys := make([]string, 0, len(counts))
 	for s := range counts {
@@ -63,15 +63,21 @@ func FromStringCounts(counts map[string]float64) (*Dist, error) {
 		// Vendor dictionaries are untrusted input: a NaN or Inf count
 		// would poison the running total and every probability derived
 		// from it (found by FuzzDistFromCounts).
-		if c := counts[s]; math.IsNaN(c) || math.IsInf(c, 0) {
+		c := counts[s]
+		if math.IsNaN(c) || math.IsInf(c, 0) {
 			return nil, fmt.Errorf("bitstring: non-finite count %v for outcome %q", c, s)
+		}
+		// A negative count is malformed too; Add would floor it away and
+		// silently change the total. Zero counts are accepted and dropped.
+		if c < 0 {
+			return nil, fmt.Errorf("bitstring: negative count %v for outcome %q", c, s)
 		}
 		if d == nil {
 			d = NewDist(n)
 		} else if n != d.n {
 			return nil, fmt.Errorf("bitstring: mixed widths %d and %d", d.n, n)
 		}
-		d.Add(v, counts[s])
+		d.Add(v, c)
 	}
 	if d == nil {
 		return nil, fmt.Errorf("bitstring: empty counts")

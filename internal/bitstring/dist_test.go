@@ -3,6 +3,7 @@ package bitstring
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -59,21 +60,34 @@ func TestDistSet(t *testing.T) {
 }
 
 func TestFromStringCounts(t *testing.T) {
-	d, err := FromStringCounts(map[string]float64{"010": 1, "111": 3})
+	d, err := FromStringCounts(map[string]float64{"010": 1, "111": 3, "001": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Width() != 3 || d.Count(0b010) != 1 || d.Count(0b111) != 3 {
+	if d.Width() != 3 || d.Count(0b010) != 1 || d.Count(0b111) != 3 || d.Support() != 2 || d.Total() != 4 {
 		t.Errorf("bad dist: %v", d.StringCounts())
 	}
-	if _, err := FromStringCounts(map[string]float64{"01": 1, "111": 1}); err == nil {
-		t.Error("mixed widths should error")
-	}
-	if _, err := FromStringCounts(nil); err == nil {
-		t.Error("empty counts should error")
-	}
-	if _, err := FromStringCounts(map[string]float64{"01x": 1}); err == nil {
-		t.Error("bad characters should error")
+	for _, c := range []struct {
+		name   string
+		counts map[string]float64
+		want   string // substring of the error
+	}{
+		{"mixed widths", map[string]float64{"01": 1, "111": 1}, "mixed widths"},
+		{"empty", nil, "empty"},
+		{"bad characters", map[string]float64{"01x": 1}, ""},
+		{"negative count", map[string]float64{"01": -5, "11": 10, "10": 3}, `"01"`},
+		{"tiny negative", map[string]float64{"0": 0.5, "1": -1e-12}, `"1"`},
+		{"NaN", map[string]float64{"0": math.NaN()}, "non-finite"},
+		{"Inf", map[string]float64{"1": math.Inf(1)}, "non-finite"},
+	} {
+		_, err := FromStringCounts(c.counts)
+		if err == nil {
+			t.Errorf("%s: accepted %v", c.name, c.counts)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %s", c.name, err, c.want)
+		}
 	}
 }
 

@@ -8,13 +8,15 @@ import (
 // FuzzDistFromCounts hardens the untrusted boundary of the counts
 // model: FromStringCounts consumes vendor result dictionaries
 // ({"0101": 17, ...}), so arbitrary keys and counts must never panic,
-// and any distribution it accepts must satisfy the Dist invariants the
+// a negative count must be rejected rather than floored away, and any
+// distribution it accepts must satisfy the Dist invariants the
 // mitigation core leans on — strictly sorted positive-count outcomes, a
 // total equal to the outcome sum, and a lossless string round trip.
 func FuzzDistFromCounts(f *testing.F) {
 	f.Add("0101", 17.0, "0110", 2.5)
 	f.Add("0", 1.0, "1", 0.0)
 	f.Add("0011", -3.0, "0011", 2.0)
+	f.Add("0011", -3.0, "1100", 2.0)
 	f.Add("01x1", 1.0, "", 1.0)
 	f.Add("1111111111111111111111111111111111111111111111111111111111111111", 1.0, "0", 2.0)
 	f.Add("10", math.NaN(), "01", math.Inf(1))
@@ -23,6 +25,11 @@ func FuzzDistFromCounts(f *testing.F) {
 		d, err := FromStringCounts(counts)
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		for s, c := range counts {
+			if c < 0 {
+				t.Fatalf("accepted negative count %v for outcome %q", c, s)
+			}
 		}
 		n := d.Width()
 		if n <= 0 || n > 64 {

@@ -2,7 +2,9 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"qbeep/internal/mathx"
 )
@@ -70,10 +72,29 @@ func catalogSpecs() []spec {
 	}
 }
 
+// fleet is the catalog, built once per process on first use. Its backends
+// are shared by every caller and never written after construction.
+var fleet = sync.OnceValues(buildCatalog)
+
+// ionBackend is the trapped-ion backend, built once like the catalog.
+var ionBackend = sync.OnceValues(buildIonBackend)
+
 // Catalog returns the 16 synthetic superconducting backends standing in for
 // the paper's IBMQ fleet. Calibrations are deterministic (fixed per-machine
-// seeds); repeated calls return equal backends.
+// seeds). The backends are built once per process and shared: every call
+// returns the same read-only *Backend values, in a fresh slice the caller
+// may append to or reslice.
 func Catalog() ([]*Backend, error) {
+	all, err := fleet()
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(all), nil
+}
+
+// buildCatalog draws the catalog's topologies and calibrations from the
+// per-machine seeds.
+func buildCatalog() ([]*Backend, error) {
 	specs := catalogSpecs()
 	backends := make([]*Backend, 0, len(specs))
 	for _, s := range specs {
@@ -98,9 +119,9 @@ func Catalog() ([]*Backend, error) {
 	return backends, nil
 }
 
-// ByName returns the catalog backend with the given name.
+// ByName returns the shared, read-only catalog backend with the given name.
 func ByName(name string) (*Backend, error) {
-	all, err := Catalog()
+	all, err := fleet()
 	if err != nil {
 		return nil, err
 	}
@@ -118,8 +139,11 @@ func ByName(name string) (*Backend, error) {
 }
 
 // IonBackend returns the synthetic 5-qubit trapped-ion backend standing in
-// for IonQ's processor in Fig. 4(b).
-func IonBackend() (*Backend, error) {
+// for IonQ's processor in Fig. 4(b). Like the catalog, it is built once
+// and shared read-only.
+func IonBackend() (*Backend, error) { return ionBackend() }
+
+func buildIonBackend() (*Backend, error) {
 	topo, err := AllToAll(5)
 	if err != nil {
 		return nil, err
@@ -141,7 +165,7 @@ func IonBackend() (*Backend, error) {
 // at least minQubits, erroring if fewer than k qualify. Experiment runners
 // use it to pick fleets for a given circuit width.
 func CatalogSubset(k, minQubits int) ([]*Backend, error) {
-	all, err := Catalog()
+	all, err := fleet()
 	if err != nil {
 		return nil, err
 	}

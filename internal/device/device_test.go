@@ -2,6 +2,8 @@ package device
 
 import (
 	"encoding/json"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -240,13 +242,31 @@ func TestCatalogShape(t *testing.T) {
 	}
 }
 
+// TestCatalogDeterministic pins the memoized fleet to a fresh draw from
+// the per-machine seeds: sharing one build must not change a single
+// calibration value.
 func TestCatalogDeterministic(t *testing.T) {
-	a, _ := Catalog()
-	b, _ := Catalog()
-	for i := range a {
-		if a[i].Calibration.Qubits[0] != b[i].Calibration.Qubits[0] {
-			t.Fatal("catalog not deterministic")
-		}
+	memo, err := Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := buildCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(memo, fresh) {
+		t.Fatal("memoized catalog differs from a fresh build")
+	}
+	ion, err := IonBackend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshIon, err := buildIonBackend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ion, freshIon) {
+		t.Fatal("memoized ion backend differs from a fresh build")
 	}
 }
 
@@ -258,8 +278,112 @@ func TestByName(t *testing.T) {
 	if b.Name != "galway" {
 		t.Errorf("got %q", b.Name)
 	}
+	if again, _ := ByName("galway"); again != b {
+		t.Error("repeated ByName returned a different backend")
+	}
 	if _, err := ByName("nowhere"); err == nil {
 		t.Error("unknown name should error")
+	}
+}
+
+// TestCatalogFreshSlice checks the shared fleet cannot be altered through
+// a returned slice: callers append to and reslice what Catalog returns.
+func TestCatalogFreshSlice(t *testing.T) {
+	first, err := Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ion, err := IonBackend()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := append(first[:3], ion)
+	first[0] = nil
+	if len(grown) != 4 || grown[3] != ion {
+		t.Fatalf("append result = %v", grown)
+	}
+	next, err := Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next) != 16 {
+		t.Fatalf("catalog size %d after a caller appended", len(next))
+	}
+	fresh, err := buildCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range next {
+		if b == nil || b.Name != fresh[i].Name {
+			t.Fatalf("catalog[%d] = %v after a caller wrote its slice, want %s", i, b, fresh[i].Name)
+		}
+	}
+}
+
+// TestCatalogLookupsAllocFree pins the per-job cost of resolving and
+// re-validating a shared backend at zero allocations.
+func TestCatalogLookupsAllocFree(t *testing.T) {
+	b, err := ByName("istanbul")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ByName("istanbul"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("warm ByName allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := b.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate of a catalog backend allocates %v times per call", n)
+	}
+}
+
+// TestCatalogConcurrent resolves backends from many goroutines at once,
+// the way par workers do; run under -race it checks the one-time build
+// and the shared reads.
+func TestCatalogConcurrent(t *testing.T) {
+	const workers = 8
+	var wg sync.WaitGroup
+	got := make([]*Backend, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			all, err := Catalog()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b, err := ByName(all[w].Name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := IonBackend(); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := b.Validate(); err != nil {
+				t.Error(err)
+				return
+			}
+			got[w] = b
+		}(w)
+	}
+	wg.Wait()
+	all, err := Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, b := range got {
+		if b != all[w] {
+			t.Errorf("worker %d resolved %p, want the shared %p", w, b, all[w])
+		}
 	}
 }
 

@@ -4,11 +4,18 @@
 // synthetic IBMQ-like superconducting backends and one trapped-ion backend,
 // substituting for the real machines in the paper's evaluation (see
 // DESIGN.md §2).
+//
+// Sharing contract: the catalog and the trapped-ion backend are built
+// once per process, and the *Backend, *Topology and *Calibration values
+// that Catalog, ByName, CatalogSubset and IonBackend return are shared by
+// every caller and goroutine. They are read-only: never write to them.
+// A modified backend is a new value, from Drifted or the JSON loader.
 package device
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is an undirected qubit coupling, stored with A < B.
@@ -24,11 +31,13 @@ func NormEdge(a, b int) Edge {
 	return Edge{A: a, B: b}
 }
 
-// Topology is an undirected coupling graph over n qubits.
+// Topology is an undirected coupling graph over n qubits. It is immutable
+// once built: Edges and Neighbors hand out its own slices, which callers
+// must not modify.
 type Topology struct {
 	n     int
-	edges map[Edge]bool
-	adj   [][]int
+	edges []Edge  // sorted lexicographically
+	adj   [][]int // sorted neighbor lists
 }
 
 // NewTopology builds a topology from an edge list. Edges must connect
@@ -37,7 +46,7 @@ func NewTopology(n int, edges []Edge) (*Topology, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("device: width %d must be positive", n)
 	}
-	t := &Topology{n: n, edges: make(map[Edge]bool), adj: make([][]int, n)}
+	t := &Topology{n: n, edges: make([]Edge, 0, len(edges)), adj: make([][]int, n)}
 	for _, e := range edges {
 		if e.A == e.B {
 			return nil, fmt.Errorf("device: self-loop on qubit %d", e.A)
@@ -45,14 +54,21 @@ func NewTopology(n int, edges []Edge) (*Topology, error) {
 		if e.A < 0 || e.A >= n || e.B < 0 || e.B >= n {
 			return nil, fmt.Errorf("device: edge (%d,%d) outside [0,%d)", e.A, e.B, n)
 		}
-		t.edges[NormEdge(e.A, e.B)] = true
+		t.edges = append(t.edges, NormEdge(e.A, e.B))
 	}
-	for e := range t.edges {
+	slices.SortFunc(t.edges, func(x, y Edge) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.B, y.B)
+	})
+	t.edges = slices.Compact(t.edges)
+	// Walking the sorted edges appends each qubit's lower neighbors
+	// (edges (a,q), ascending a) before its higher ones (edges (q,b),
+	// ascending b), so every adjacency list comes out sorted.
+	for _, e := range t.edges {
 		t.adj[e.A] = append(t.adj[e.A], e.B)
 		t.adj[e.B] = append(t.adj[e.B], e.A)
-	}
-	for _, a := range t.adj {
-		sort.Ints(a)
 	}
 	return t, nil
 }
@@ -61,25 +77,21 @@ func NewTopology(n int, edges []Edge) (*Topology, error) {
 func (t *Topology) N() int { return t.n }
 
 // Connected reports whether qubits a and b are directly coupled.
-func (t *Topology) Connected(a, b int) bool { return t.edges[NormEdge(a, b)] }
+func (t *Topology) Connected(a, b int) bool {
+	if a < 0 || a >= t.n {
+		return false
+	}
+	_, ok := slices.BinarySearch(t.adj[a], b)
+	return ok
+}
 
-// Neighbors returns the sorted neighbor list of qubit q.
+// Neighbors returns the sorted neighbor list of qubit q. The slice is
+// shared and must not be modified.
 func (t *Topology) Neighbors(q int) []int { return t.adj[q] }
 
-// Edges returns all edges sorted lexicographically.
-func (t *Topology) Edges() []Edge {
-	out := make([]Edge, 0, len(t.edges))
-	for e := range t.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
+// Edges returns all edges sorted lexicographically. The slice is shared
+// and must not be modified.
+func (t *Topology) Edges() []Edge { return t.edges }
 
 // ShortestPath returns a shortest qubit path from a to b (inclusive) via
 // BFS, or an error if disconnected. Ties break toward smaller qubit
