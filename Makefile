@@ -7,9 +7,8 @@ GO ?= go
 # Extra worker counts the determinism tests sweep on top of their
 # built-in {1, 4, GOMAXPROCS} matrix. Comma-separated. The matrix
 # helper is replicated per kernel package as workerMatrix in
-# internal/core/equivalence_test.go, internal/statevector/kernels_test.go,
-# internal/densitymatrix/workers_test.go, and
-# internal/noise/trajectory_determinism_test.go.
+# internal/core/equivalence_test.go, internal/statevector/kernels_test.go
+# and internal/densitymatrix/workers_test.go.
 QBEEP_TEST_WORKERS ?= 2,3,7,16
 
 all: build
@@ -47,12 +46,12 @@ test:
 
 # race covers the packages with real concurrency or lock-cheap atomics:
 # the obs registry/sinks, the parallel fan-out, the mitigation core, the
-# sharded simulation kernels (statevector, density matrix, trajectory
-# sampler) — with the widened worker-count matrix so deterministic merges
-# and amplitude shards are raced under uneven fan-outs too — plus the
-# experiment runners and the transpiler, whose figure pipelines fan out
-# through par, and the device catalog and the root package, whose
-# once-built backends every par worker shares.
+# sharded simulation kernels (statevector, density matrix) and the noise
+# executor's shot blocks — with the widened worker-count matrix so
+# deterministic merges and amplitude shards are raced under uneven
+# fan-outs too — plus the experiment runners and the transpiler, whose
+# figure pipelines fan out through par, and the device catalog and the
+# root package, whose once-built backends every par worker shares.
 race:
 	QBEEP_TEST_WORKERS=$(QBEEP_TEST_WORKERS) $(GO) test -race ./internal/obs ./internal/par ./internal/core ./internal/statevector ./internal/densitymatrix ./internal/noise ./internal/experiments ./internal/transpile ./internal/device .
 
@@ -70,12 +69,11 @@ bench-core:
 
 # bench-sim: the simulation kernel engine — fused vs unfused vs the
 # retained naiveApply oracle on the 14-qubit QAOA workload, the zero-copy
-# probability path, the density-matrix hot loops, and the parallel
-# trajectory sampler. BENCH_sim.json holds the recorded baseline.
+# probability path and the density-matrix hot loops. BENCH_sim.json
+# holds the recorded baseline.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkRun$$|BenchmarkRunProgram$$|BenchmarkRunUnfused$$|BenchmarkNaiveRun$$|BenchmarkProbabilitiesInto$$' -benchmem ./internal/statevector
 	$(GO) test -run '^$$' -bench 'BenchmarkDensityEvolve$$' -benchmem ./internal/densitymatrix
-	$(GO) test -run '^$$' -bench 'BenchmarkTrajectory$$|BenchmarkTrajectoryPerGate$$' -benchmem ./internal/noise
 
 # bench-gate: the regression gate. cmd/qbeep-bench runs both suites at a
 # short benchtime and recomputes the derived ratio invariants
@@ -144,10 +142,13 @@ quality-baseline:
 	$(GO) run ./cmd/qbeep-experiments -fig 7 -scale 0.05 -shots 1024 -run-ledger .quality-gate/runs.ndjson > .quality-gate/stdout.txt; \
 	$(GO) run ./cmd/qbeep-ledger -write-baseline QUALITY_baseline.json -commit "$$(git rev-parse --short HEAD)" .quality-gate/runs.ndjson
 
-# loc: the footprint figure CHANGES.md records per change — lines of
+# loc: the footprint figures CHANGES.md records per change — lines of
 # tracked non-test Go, i.e. every `git ls-files '*.go'` path except
-# _test.go files and testdata/ fixtures.
+# _test.go files and testdata/ fixtures. The first line is the total;
+# the second leaves out benchjob/ (the end-to-end benchmark harness),
+# which is the figure the ROADMAP north star counts.
 loc:
-	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | xargs cat | wc -l | sed 's/^/total: /'
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v 'testdata/' | grep -v '^benchjob/' | xargs cat | wc -l | sed 's/^/excluding benchjob\/: /'
 
 ci: vet lint test race bench-smoke obs-smoke bench-gate quality-gate

@@ -1,6 +1,6 @@
 package qbeep
 
-// Extension benches: quantum-volume uplift and ZNE composition — the
+// Extension benches: ZNE composition and layout search — the
 // optional/extension features beyond the paper's evaluation.
 
 import (
@@ -8,70 +8,12 @@ import (
 	"testing"
 
 	"qbeep/internal/algorithms"
-	"qbeep/internal/core"
 	"qbeep/internal/device"
 	"qbeep/internal/mathx"
 	"qbeep/internal/noise"
-	"qbeep/internal/qvolume"
 	"qbeep/internal/transpile"
 	"qbeep/internal/zne"
 )
-
-// BenchmarkQuantumVolumeUplift measures the heavy-output probability of
-// QV model circuits on a noisy backend, raw vs Q-BEEP-mitigated. The
-// reported metrics show whether mitigation lifts a width across the 2/3
-// pass threshold.
-func BenchmarkQuantumVolumeUplift(b *testing.B) {
-	bk, err := device.ByName("galway")
-	if err != nil {
-		b.Fatal(err)
-	}
-	exec, err := noise.NewExecutor(bk, noise.DefaultModel())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rawMean, qbMean float64
-	for i := 0; i < b.N; i++ {
-		rng := mathx.NewRNG(31)
-		var rawHOPs, qbHOPs []float64
-		for trial := 0; trial < 6; trial++ {
-			c, err := qvolume.ModelCircuit(4, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			heavy, err := qvolume.HeavySet(context.Background(), c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			run, err := exec.ExecuteCtx(context.Background(), c, 2048, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			lb, err := core.EstimateLambda(run.Transpiled, bk)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mitigated, err := core.MitigateCtx(context.Background(), run.Counts, lb.Lambda(), core.NewOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			hr, err := qvolume.HOP(run.Counts, heavy)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hq, err := qvolume.HOP(mitigated, heavy)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rawHOPs = append(rawHOPs, hr)
-			qbHOPs = append(qbHOPs, hq)
-		}
-		rawMean = mathx.Mean(rawHOPs)
-		qbMean = mathx.Mean(qbHOPs)
-	}
-	b.ReportMetric(rawMean, "hop-raw")
-	b.ReportMetric(qbMean, "hop-qbeep")
-}
 
 // BenchmarkZNEComposition measures zero-noise extrapolation of a BV PST
 // against the single-scale raw measurement.

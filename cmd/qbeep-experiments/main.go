@@ -40,7 +40,6 @@ func run() error {
 		seed        = flag.Uint64("seed", 20230617, "root RNG seed")
 		iterations  = flag.Int("iterations", 0, "flow iterations per mitigation (0 = paper default 20)")
 		convergeTol = flag.Float64("converge-tol", 0, "stop each mitigation early when the per-iteration Hellinger delta falls below this (0 = fixed schedule)")
-		topK        = flag.Int("top-k", 0, "approximate mode: keep only the k heaviest edges per vertex (0 = exact)")
 		batch       = flag.Int("batch", 1, "shot blocks fanned across the worker pool per induction (<=1 = serial stream; >1 = a per-block stream, deterministic in (seed, batch), not equal to the serial counts)")
 		csvDir      = flag.String("csv", "", "directory for per-figure CSV dumps (created if missing)")
 		report      = flag.String("report", "", "write a machine-readable JSON run report to this path ('-' = stderr)")
@@ -103,7 +102,6 @@ func run() error {
 		Scale:       *scale,
 		Iterations:  *iterations,
 		ConvergeTol: *convergeTol,
-		TopK:        *topK,
 		Batch:       *batch,
 		Out:         os.Stdout,
 	}

@@ -215,14 +215,6 @@ var KnownRatios = map[string]RatioDef{
 	},
 	"fused_speedup_vs_naive":   {Slow: "BenchmarkNaiveRun", Fast: "BenchmarkRun"},
 	"unfused_speedup_vs_naive": {Slow: "BenchmarkNaiveRun", Fast: "BenchmarkRunUnfused"},
-	// Both sides run the identical 100-shot workload, so the ns/op
-	// quotient is exactly the shots-per-second ratio of compiled replay
-	// over the per-gate reference path.
-	"trajectory_replay_speedup": {Slow: "BenchmarkTrajectoryPerGate", Fast: "BenchmarkTrajectory"},
-	"mitigate_topk_speedup_v1e5": {
-		Slow: "BenchmarkMitigate/V1e5",
-		Fast: "BenchmarkMitigate/V1e5_topk8",
-	},
 	// One flow iteration on the same dense BV-style graph through the
 	// edge form and through the Walsh–Hadamard form the cost rule picks.
 	"step_wht_speedup_dense": {
@@ -239,11 +231,9 @@ var KnownAllocInvariants = map[string]string{
 	"step_allocs_per_op":               "BenchmarkStateGraphStep/V4096/lambda1",
 	"probabilities_into_allocs_per_op": "BenchmarkProbabilitiesInto",
 	"build_allocs_v4096_lambda1":       "BenchmarkBuildStateGraph/V4096/lambda1",
-	// Steady-state allocation ceilings for the throughput engine: program
-	// replay is allocation-free, and a 100-shot trajectory batch stays
-	// within the pooled-arena budget (span/merge bookkeeping only).
+	// Steady-state allocation ceiling for the throughput engine: program
+	// replay is allocation-free.
 	"run_program_allocs_steady": "BenchmarkRunProgram",
-	"trajectory_allocs_steady":  "BenchmarkTrajectory",
 }
 
 // KnownBudgets maps derived wall-clock keys to the benchmark whose ns/op

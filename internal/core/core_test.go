@@ -308,16 +308,10 @@ func TestMitigateValidation(t *testing.T) {
 	if _, err := MitigateCtx(context.Background(), raw, 1, bad); err == nil {
 		t.Error("NaN converge tolerance should error")
 	}
-	bad = NewOptions()
-	bad.TopK = -3
-	if _, err := MitigateCtx(context.Background(), raw, 1, bad); err == nil {
-		t.Error("negative top-k should error")
-	}
 	ok := NewOptions()
 	ok.ConvergeTol = 0
-	ok.TopK = 0
 	if _, err := MitigateCtx(context.Background(), raw, 1, ok); err != nil {
-		t.Errorf("zero converge tolerance and top-k are the exact defaults: %v", err)
+		t.Errorf("zero converge tolerance is the exact default: %v", err)
 	}
 	if _, err := MitigateCtx(context.Background(), bitstring.NewDist(3), 1, NewOptions()); err == nil {
 		t.Error("empty counts should error")

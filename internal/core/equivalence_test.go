@@ -147,7 +147,7 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 			for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere} {
 				for _, w := range workers {
 					label := fmt.Sprintf("n=%d %s strat=%s workers=%d", c.n, kind, strat, w)
-					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat, 0, true)
+					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat, true)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -174,7 +174,7 @@ func TestScanMatchesOracleHAMMERWeighter(t *testing.T) {
 	}
 	var ref *StateGraph
 	for _, strat := range []scanStrategy{scanBucket, scanSphere} {
-		g, err := buildStateGraphCtx(context.Background(), raw, InverseDistanceEdges{}, 0.05, 4, strat, 0, true)
+		g, err := buildStateGraphCtx(context.Background(), raw, InverseDistanceEdges{}, 0.05, 4, strat, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,14 +10,13 @@ import (
 )
 
 // FuzzMitigate checks the oracle-free properties of the paper's model on
-// both operator forms, over fuzzer-chosen widths, λ, ε, TopK,
-// ConvergeTol and count vectors with zeros and extreme magnitudes:
+// both operator forms, over fuzzer-chosen widths, λ, ε, ConvergeTol
+// and count vectors with zeros and extreme magnitudes:
 //
 //   - the output is finite, non-negative and carries the input's mass;
 //   - scaling every count by c scales the output by c;
 //   - XOR-relabelling the strings (x → x⊕m) or permuting their bits
-//     relabels the output the same way (exact graphs only: top-k breaks
-//     ties by edge index, which relabelling reorders);
+//     relabels the output the same way;
 //   - the two forms agree with each other.
 //
 // Comparisons are normwise relative to 1e-9: relabelling reorders the
@@ -26,12 +25,12 @@ import (
 // within roundoff of the tolerance) is a legitimate discontinuity, so
 // such pairs are not compared.
 func FuzzMitigate(f *testing.F) {
-	f.Add(uint64(1), uint8(6), 1.5, 0.05, uint8(0), 0.0, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add(uint64(2), uint8(10), 2.6, 0.05, uint8(0), 0.0, []byte("dense-ish register with many outcomes 0123456789abcdef"))
-	f.Add(uint64(3), uint8(8), 0.7, 0.02, uint8(3), 0.01, []byte{255, 254, 0, 0, 128, 7, 64, 33, 9, 1})
-	f.Add(uint64(4), uint8(4), 4.0, 0.3, uint8(0), 0.001, []byte{1, 4, 2, 4, 3, 4, 15, 0})
-	f.Add(uint64(5), uint8(9), 1.2, 0.05, uint8(0), 0.0, []byte{10, 1, 11, 2, 12, 3, 200, 4, 201, 0, 99, 4})
-	f.Fuzz(func(t *testing.T, seed uint64, width uint8, lambda, eps float64, topK uint8, tol float64, raw []byte) {
+	f.Add(uint64(1), uint8(6), 1.5, 0.05, 0.0, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint64(2), uint8(10), 2.6, 0.05, 0.0, []byte("dense-ish register with many outcomes 0123456789abcdef"))
+	f.Add(uint64(3), uint8(8), 0.7, 0.02, 0.01, []byte{255, 254, 0, 0, 128, 7, 64, 33, 9, 1})
+	f.Add(uint64(4), uint8(4), 4.0, 0.3, 0.001, []byte{1, 4, 2, 4, 3, 4, 15, 0})
+	f.Add(uint64(5), uint8(9), 1.2, 0.05, 0.0, []byte{10, 1, 11, 2, 12, 3, 200, 4, 201, 0, 99, 4})
+	f.Fuzz(func(t *testing.T, seed uint64, width uint8, lambda, eps, tol float64, raw []byte) {
 		n := 2 + int(width)%9
 		counts := fuzzCounts(n, raw)
 		if counts.Support() == 0 {
@@ -39,7 +38,6 @@ func FuzzMitigate(f *testing.F) {
 		}
 		opts := NewOptions()
 		opts.Epsilon = 0.001 + math.Mod(math.Abs(finiteOr(eps, 0.05)), 0.5)
-		opts.TopK = int(topK % 5)
 		if tol = math.Abs(finiteOr(tol, 0)); tol < 0.05 {
 			opts.ConvergeTol = tol
 		}
@@ -75,9 +73,6 @@ func FuzzMitigate(f *testing.F) {
 			}
 			if s, it := run(form, mapDist(counts, func(v bitstring.BitString, c float64) (bitstring.BitString, float64) { return v, c * scale })); it == iters {
 				distsClose(t, "scaled by c", mapDist(out, func(v bitstring.BitString, c float64) (bitstring.BitString, float64) { return v, c * scale }), s)
-			}
-			if opts.TopK > 0 {
-				continue
 			}
 			xor := func(v bitstring.BitString, c float64) (bitstring.BitString, float64) { return v ^ mask, c }
 			if x, it := run(form, mapDist(counts, xor)); it == iters {

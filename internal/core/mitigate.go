@@ -102,13 +102,6 @@ type Options struct {
 	// is bitwise identical to it; the skipped rounds are recorded as
 	// iterations_saved on the "core.mitigate" span and counter.
 	ConvergeTol float64
-	// TopK, when positive, sparsifies the state graph to each vertex's
-	// k heaviest incident edges (symmetric union — an edge survives when
-	// either endpoint ranks it). This is the opt-in approximate mode:
-	// the mitigated distribution deviates from the exact engine by a
-	// small Hellinger distance (tested) in exchange for bounded degree.
-	// Zero keeps the exact graph.
-	TopK int
 }
 
 // NewOptions returns the paper's default configuration.
@@ -129,9 +122,6 @@ func (o *Options) validate() error {
 	}
 	if o.ConvergeTol < 0 || math.IsNaN(o.ConvergeTol) {
 		return fmt.Errorf("core: converge tolerance %v must be >= 0", o.ConvergeTol)
-	}
-	if o.TopK < 0 {
-		return fmt.Errorf("core: top-k %d must be >= 0", o.TopK)
 	}
 	return nil
 }
@@ -188,7 +178,7 @@ func mitigateCtx(ctx context.Context, counts *bitstring.Dist, lambda float64, op
 	stop := metMitigate.Start()
 	// The loop only iterates, so the build may skip the edge scan when the
 	// Walsh–Hadamard operator is chosen (needEdges false).
-	g, err := buildStateGraphCtx(ctx, counts, w, opts.Epsilon, opts.BuildWorkers, scanAuto, opts.TopK, false)
+	g, err := buildStateGraphCtx(ctx, counts, w, opts.Epsilon, opts.BuildWorkers, scanAuto, false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -71,15 +71,14 @@ const whtMinEdges = 1 << 14
 const whtButterflyPerEdge = 0.5
 
 // chooseOperator is the cost rule: the Walsh–Hadamard form when the
-// kernel is distance-only (no top-k pruning), the register fits
-// whtMaxWidth and the estimated transform cost undercuts E edge visits.
-// It reads only properties of the input, is monotone in edges (so an
-// upper bound on E that picks the edge form settles the choice without
-// counting), and is deterministic, which is what keeps
+// register fits whtMaxWidth and the estimated transform cost undercuts E
+// edge visits. It reads only properties of the input, is monotone in
+// edges (so an upper bound on E that picks the edge form settles the
+// choice without counting), and is deterministic, which is what keeps
 // BuildStateGraphCtx + Step bitwise equal to MitigateCtx.
-func chooseOperator(n, edges int, topK bool) operatorForm {
-	if topK || n > whtMaxWidth {
-		return opEdges // top-k breaks the distance-only structure
+func chooseOperator(n, edges int) operatorForm {
+	if n > whtMaxWidth {
+		return opEdges
 	}
 	if operatorHook != opAuto {
 		return operatorHook

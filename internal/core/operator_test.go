@@ -191,7 +191,7 @@ func TestPairCountsMatchScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			counted, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, 0, scanAuto, 0, false)
+			counted, err := buildStateGraphCtx(context.Background(), c.raw, c.w, 0.05, 0, scanAuto, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,27 +212,25 @@ func TestChooseOperator(t *testing.T) {
 	cases := []struct {
 		name string
 		n, e int
-		topK bool
 		want operatorForm
 	}{
-		{"bv-dense", 15, 2_500_000, false, opWHT},
-		{"bv-dense top-k", 15, 2_500_000, true, opEdges},
-		{"tiny circuit", 5, 105, false, opEdges},
-		{"below the edge floor", 8, whtMinEdges - 1, false, opEdges},
-		{"sparse n=16", 16, 89_527, false, opEdges},
-		{"wide register", 26, 50_000_000, false, opEdges},
-		{"V1e5 n=20", 20, 6_435_480, false, opEdges},
+		{"bv-dense", 15, 2_500_000, opWHT},
+		{"tiny circuit", 5, 105, opEdges},
+		{"below the edge floor", 8, whtMinEdges - 1, opEdges},
+		{"sparse n=16", 16, 89_527, opEdges},
+		{"wide register", 26, 50_000_000, opEdges},
+		{"V1e5 n=20", 20, 6_435_480, opEdges},
 	}
 	for _, c := range cases {
-		if got := chooseOperator(c.n, c.e, c.topK); got != c.want {
-			t.Errorf("%s: chooseOperator(%d, %d, %v) = %s, want %s", c.name, c.n, c.e, c.topK, got, c.want)
+		if got := chooseOperator(c.n, c.e); got != c.want {
+			t.Errorf("%s: chooseOperator(%d, %d) = %s, want %s", c.name, c.n, c.e, got, c.want)
 		}
 	}
 	// The rule is monotone in E: the upper bound may only over-approve.
 	for n := 1; n <= whtMaxWidth; n++ {
 		prev := opEdges
 		for e := 0; e <= 1<<22; e += 1 << 12 {
-			got := chooseOperator(n, e, false)
+			got := chooseOperator(n, e)
 			if prev == opWHT && got != opWHT {
 				t.Fatalf("n=%d: rule flips back to edges at E=%d", n, e)
 			}

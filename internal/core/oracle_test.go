@@ -50,7 +50,7 @@ func buildStateGraphBrute(counts *bitstring.Dist, w EdgeWeighter, eps float64) (
 	g.buildCSR()
 	g.kernel = newWeightTable(w, eps, g.n, g.radius).perString
 	g.numEdges = len(g.edges)
-	g.op = chooseOperator(g.n, g.numEdges, false)
+	g.op = chooseOperator(g.n, g.numEdges)
 	return g, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -187,65 +186,6 @@ func (g *StateGraph) buildCSRCounted(counts []int32) {
 	}
 }
 
-// sparsifyTopK prunes the graph to each vertex's k heaviest incident
-// edges — the opt-in approximation behind Options.TopK. Selection is by
-// (weight descending, canonical edge index ascending), so ties resolve
-// identically on every run, and an edge survives when either endpoint
-// selects it (the symmetric k-NN union), keeping the graph undirected
-// with every vertex retaining min(k, degree) edges or more. Surviving
-// edges keep their canonical ascending (a, b) order, so the filtered
-// graph — like the exact scan — is independent of the worker count.
-// Returns the number of edges dropped.
-func (g *StateGraph) sparsifyTopK(k int) int {
-	nV := len(g.nodes)
-	if k <= 0 || len(g.edges) == 0 {
-		return 0
-	}
-	keep := make([]bool, len(g.edges))
-	var scratch []int32
-	for i := 0; i < nV; i++ {
-		inc := g.IncidentEdges(i)
-		if len(inc) <= k {
-			for _, ei := range inc {
-				keep[ei] = true
-			}
-			continue
-		}
-		scratch = append(scratch[:0], inc...)
-		slices.SortFunc(scratch, func(x, y int32) int {
-			wx, wy := g.edges[x].weight, g.edges[y].weight
-			if wx > wy {
-				return -1
-			}
-			if wx < wy {
-				return 1
-			}
-			return int(x - y)
-		})
-		for _, ei := range scratch[:k] {
-			keep[ei] = true
-		}
-	}
-	deg := make([]int32, nV+1)
-	out := g.edges[:0]
-	for ei := range g.edges {
-		if !keep[ei] {
-			continue
-		}
-		e := g.edges[ei]
-		deg[e.a+1]++
-		deg[e.b+1]++
-		out = append(out, e)
-	}
-	dropped := len(g.edges) - len(out)
-	if dropped == 0 {
-		return 0 // existing CSR still valid
-	}
-	g.edges = out
-	g.buildCSRCounted(deg)
-	return dropped
-}
-
 // BuildStateGraphCtx constructs the graph from raw counts under the given
 // edge model and threshold. Vertices are created only for observed
 // (non-zero) outcomes, so the graph scales with shots, not with 2^n.
@@ -273,7 +213,7 @@ func (g *StateGraph) sparsifyTopK(k int) int {
 // on the returned graph picks the same operator form MitigateCtx does,
 // so iterating it reproduces MitigateCtx bit for bit.
 func BuildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int) (*StateGraph, error) {
-	return buildStateGraphCtx(ctx, counts, w, eps, workers, scanAuto, 0, true)
+	return buildStateGraphCtx(ctx, counts, w, eps, workers, scanAuto, true)
 }
 
 // buildStateGraphCtx builds the graph and fixes its operator form. With
@@ -281,7 +221,7 @@ func BuildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 // the cost rule sends to the Walsh–Hadamard form skips the edge scan: its
 // exact edge and pruned counts come from the support's pair-count
 // transform instead, so every count it reports is the scan's.
-func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int, strat scanStrategy, topK int, needEdges bool) (*StateGraph, error) {
+func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeighter, eps float64, workers int, strat scanStrategy, needEdges bool) (*StateGraph, error) {
 	if err := validateBuild(counts, w, eps); err != nil {
 		return nil, err
 	}
@@ -295,16 +235,13 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	// cannot produce any); only the pruned tally narrows its scope.
 	g.radius = tab.effectiveRadius()
 	g.kernel = tab.perString[:g.radius+1]
-	used, dropped := scanWHT, 0
-	if needEdges || !g.countForWHT(vals, topK > 0) {
+	used := scanWHT
+	if needEdges || !g.countForWHT(vals) {
 		var deg []int32
 		g.edges, deg, g.pruned, used = scanEdges(ctx, vals, g.n, g.radius, tab, workers, strat)
 		g.buildCSRCounted(deg)
-		if topK > 0 {
-			dropped = g.sparsifyTopK(topK)
-		}
 		g.numEdges = len(g.edges)
-		g.op = chooseOperator(g.n, g.numEdges, topK > 0)
+		g.op = chooseOperator(g.n, g.numEdges)
 	}
 	elapsed := time.Since(t0) //qbeep:allow-time span/metric timing, not kernel state
 	metGraphBuild.ObserveDuration(elapsed)
@@ -323,10 +260,6 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 	sp.SetAttr("pruned", g.pruned)
 	sp.SetAttr("strategy", used.String())
 	sp.SetAttr("operator", g.op.String())
-	if topK > 0 {
-		sp.SetAttr("top_k", topK)
-		sp.SetAttr("edges_dropped", dropped)
-	}
 	sp.End()
 	// Gated on the level check: assembling the key/value list boxes a
 	// dozen arguments, a measurable slice of the per-build allocations
@@ -335,7 +268,7 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 		l.Debug("state graph built",
 			"vertices", len(g.nodes), "edges", g.numEdges, "pruned", g.pruned,
 			"radius", g.radius, "width", g.n, "strategy", used.String(), "operator", g.op.String(),
-			"top_k", topK, "edges_dropped", dropped, "elapsed", elapsed)
+			"elapsed", elapsed)
 	}
 	return g, nil
 }
@@ -345,8 +278,8 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 // on E it returns false without allocating; otherwise it counts the exact
 // edges and pruned pairs by transform and, if the rule still picks the
 // Walsh–Hadamard form at the exact E, records them and returns true.
-func (g *StateGraph) countForWHT(vals []bitstring.BitString, topK bool) bool {
-	if chooseOperator(g.n, edgeUpperBound(g.n, len(vals), g.radius), topK) != opWHT {
+func (g *StateGraph) countForWHT(vals []bitstring.BitString) bool {
+	if chooseOperator(g.n, edgeUpperBound(g.n, len(vals), g.radius)) != opWHT {
 		return false
 	}
 	pairs := pairCounts(vals, g.n)
@@ -358,7 +291,7 @@ func (g *StateGraph) countForWHT(vals []bitstring.BitString, topK bool) bool {
 			pruned += int(pairs[d])
 		}
 	}
-	if chooseOperator(g.n, edges, topK) != opWHT {
+	if chooseOperator(g.n, edges) != opWHT {
 		return false
 	}
 	g.numEdges, g.pruned, g.op = edges, pruned, opWHT

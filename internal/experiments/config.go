@@ -32,9 +32,6 @@ type Config struct {
 	// per-iteration Hellinger delta falls below it. The paper figures use
 	// the fixed schedule (0).
 	ConvergeTol float64
-	// TopK, when > 0, runs every mitigation in approximate mode keeping
-	// only the k heaviest edges per vertex. 0 is the exact engine.
-	TopK int
 	// Batch sets noise.Model.Blocks for every induction: when > 1, each
 	// shot loop splits into that many blocks fanned across the worker
 	// pool. Counts depend on (Seed, Batch) but not on worker count, and
@@ -68,9 +65,6 @@ func (c *Config) normalize() error {
 	if c.ConvergeTol < 0 {
 		return fmt.Errorf("experiments: converge tolerance %v must be >= 0", c.ConvergeTol)
 	}
-	if c.TopK < 0 {
-		return fmt.Errorf("experiments: top-k %d must be >= 0", c.TopK)
-	}
 	if c.Batch < 0 {
 		return fmt.Errorf("experiments: batch %d must be >= 0", c.Batch)
 	}
@@ -89,7 +83,6 @@ func (c *Config) mitigateOptions() core.Options {
 		opts.Iterations = c.Iterations
 	}
 	opts.ConvergeTol = c.ConvergeTol
-	opts.TopK = c.TopK
 	return opts
 }
 

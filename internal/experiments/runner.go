@@ -31,8 +31,8 @@ type Outcome struct {
 // runWorkload executes the workload on the backend under the noise
 // model (Config.model: the default hardware-like model with the
 // config's shot blocks) and applies Q-BEEP (Eq. 2 λ, with the
-// caller's core options — iteration schedule, convergence tolerance,
-// top-k mode) and HAMMER. track enables the per-iteration
+// caller's core options — iteration schedule, convergence tolerance)
+// and HAMMER. track enables the per-iteration
 // fidelity trace (costs one fidelity evaluation per iteration). Every
 // completed workload is logged at info level (circuit, backend,
 // elapsed) — the progress feed for multi-minute figure runs. The

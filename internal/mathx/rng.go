@@ -14,15 +14,6 @@ type RNG struct {
 // NewRNG returns a generator seeded deterministically from seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
-	r.Reseed(seed)
-	return r
-}
-
-// Reseed re-initializes the generator in place to the exact state NewRNG
-// would produce for seed. Hot loops that burn one stream per iteration
-// (the trajectory sampler's per-shot streams) reseed a long-lived
-// generator instead of allocating a fresh one.
-func (r *RNG) Reseed(seed uint64) {
 	// splitmix64 expansion of the seed into the xoshiro state.
 	x := seed
 	for i := range r.s {
@@ -32,6 +23,7 @@ func (r *RNG) Reseed(seed uint64) {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
+	return r
 }
 
 //qbeep:mustinline
@@ -125,13 +117,4 @@ func (r *RNG) Split(label uint64) *RNG {
 // advance any parent generator.
 func NewStream(base, index uint64) *RNG {
 	return NewRNG(base ^ (index+1)*0x9e3779b97f4a7c15)
-}
-
-// ReseedStream re-initializes r in place to the state NewStream(base,
-// index) would return — the allocation-free form for per-shot streams.
-//
-//qbeep:mustinline
-//qbeep:allocfree
-func (r *RNG) ReseedStream(base, index uint64) {
-	r.Reseed(base ^ (index+1)*0x9e3779b97f4a7c15)
 }

@@ -2,19 +2,15 @@ package noise
 
 import (
 	"context"
-	"math"
 	"testing"
 
-	"qbeep/internal/bitstring"
 	"qbeep/internal/circuit"
-	"qbeep/internal/densitymatrix"
 	"qbeep/internal/device"
 	"qbeep/internal/mathx"
 )
 
 // uniformBackend builds a backend with exactly-known uniform error rates,
-// so trajectory sampling can be validated against closed-form channel
-// evolution.
+// so executor output can be checked against closed forms.
 func uniformBackend(t *testing.T, n int, err1q, err2q, readout float64) *device.Backend {
 	t.Helper()
 	topo, err := device.AllToAll(n)
@@ -43,64 +39,6 @@ func uniformBackend(t *testing.T, n int, err1q, err2q, readout float64) *device.
 		t.Fatal(err)
 	}
 	return b
-}
-
-// TestTrajectoryMatchesDensityMatrix validates the Monte Carlo Pauli-jump
-// trajectories against exact Kraus evolution: injecting a uniform Pauli
-// with probability p after a gate equals the depolarizing channel with
-// parameter 4p/3 on that gate's qubit.
-func TestTrajectoryMatchesDensityMatrix(t *testing.T) {
-	const p = 0.12 // per-gate Pauli-jump probability
-	b := uniformBackend(t, 2, p, p, 0)
-
-	c := circuit.New("bell", 2).H(0).CX(0, 1)
-
-	// Exact: density matrix with depolarizing(4p/3) after each gate on a
-	// uniformly chosen involved qubit — averaging over the qubit choice
-	// means half weight per qubit on the CX.
-	dm, err := densitymatrix.New(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := densitymatrix.Depolarizing(4 * p / 3)
-	half := densitymatrix.Depolarizing(4 * (p / 2) / 3)
-	if err := dm.Apply(circuit.Gate{Kind: circuit.H, Qubits: []int{0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dm.Channel(0, ch); err != nil {
-		t.Fatal(err)
-	}
-	if err := dm.Apply(circuit.Gate{Kind: circuit.CX, Qubits: []int{0, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	// CX error: one of the two qubits uniformly — approximate the mixture
-	// by applying the half-rate channel to both (exact to first order and
-	// adequate at p = 0.12 for the tolerance below).
-	if err := dm.Channel(0, half); err != nil {
-		t.Fatal(err)
-	}
-	if err := dm.Channel(1, half); err != nil {
-		t.Fatal(err)
-	}
-	exact := dm.Dist()
-
-	// Monte Carlo.
-	ts, err := NewTrajectorySampler(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shots = 40000
-	sampled, err := ts.SampleCtx(context.Background(), c, 0, shots, mathx.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := bitstring.BitString(0); v < 4; v++ {
-		want := exact.Prob(v)
-		got := sampled.Prob(v)
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("P(%02b): trajectory %v vs exact %v", v, got, want)
-		}
-	}
 }
 
 // TestFastExecutorLambdaMatchesRealizedEHD checks the fast executor's

@@ -55,6 +55,9 @@ func (e *DensityExecutor) ExecuteExactCtx(ctx context.Context, c *circuit.Circui
 	if shots < 0 {
 		return nil, nil, fmt.Errorf("noise: negative shots %d", shots)
 	}
+	if shots > 0 && rng == nil {
+		return nil, nil, fmt.Errorf("noise: nil RNG with shots > 0")
+	}
 	cal := e.backend.Calibration
 	var err1q, err2q, dur1q, dur2q float64
 	for _, g := range cal.Gates1Q {
@@ -124,9 +127,6 @@ func (e *DensityExecutor) ExecuteExactCtx(ctx context.Context, c *circuit.Circui
 	}
 	exact = dm.Dist()
 	if shots > 0 {
-		if rng == nil {
-			return nil, nil, fmt.Errorf("noise: nil RNG with shots > 0")
-		}
 		outcomes, cum := outcomeDraw(exact)
 		sampled = bitstring.NewDist(exact.Width())
 		for s := 0; s < shots; s++ {

@@ -31,6 +31,21 @@ func requireGolden(t *testing.T, label string, got *bitstring.Dist, want map[str
 	}
 }
 
+// requireSameDist fails unless the two distributions are bit-for-bit
+// identical (same outcomes, same counts).
+func requireSameDist(t *testing.T, label string, got, want *bitstring.Dist) {
+	t.Helper()
+	wantOut := want.Outcomes()
+	if gotN, wantN := len(got.Outcomes()), len(wantOut); gotN != wantN {
+		t.Fatalf("%s: %d outcomes, want %d", label, gotN, wantN)
+	}
+	for _, v := range wantOut {
+		if got.Count(v) != want.Count(v) {
+			t.Fatalf("%s: count[%v] = %v, want %v", label, v, got.Count(v), want.Count(v))
+		}
+	}
+}
+
 // executeBlocks runs the golden circuit through the failure-event
 // executor split into the given number of shot blocks.
 func executeBlocks(b *device.Backend, blocks, shots int, seed uint64) (*bitstring.Dist, error) {

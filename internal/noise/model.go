@@ -1,7 +1,7 @@
 // Package noise executes transpiled circuits under a hardware-style error
 // model and produces measurement count distributions.
 //
-// Three executors are provided, each with one sampling entry point:
+// Two executors are provided, each with one sampling entry point:
 //
 //   - Executor (the default) implements the generative process the paper
 //     observes on real hardware (§3.1): circuit execution accumulates
@@ -13,14 +13,9 @@
 //     sampling body; Model.Blocks selects the serial or blocked shot loop.
 //
 //   - DensityExecutor evolves the exact density matrix under calibrated
-//     Kraus channels: the small-register reference the fast executor is
-//     checked against.
-//
-//   - TrajectorySampler implements a conventional Markovian per-gate Pauli
-//     noise model on the state vector. As the paper notes, this model does
-//     NOT produce non-local clustering. No figure runs it: it backs the
-//     test-side cross-check against DensityExecutor and the gated
-//     compiled-replay microbenchmark.
+//     Kraus channels: the conventional Markovian per-gate model, which
+//     (as the paper notes) does NOT produce non-local clustering, and the
+//     small-register reference the fast executor is checked against.
 package noise
 
 import (

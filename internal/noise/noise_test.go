@@ -295,35 +295,6 @@ func TestT1DecayIsDirectional(t *testing.T) {
 	}
 }
 
-func TestTrajectorySampler(t *testing.T) {
-	b := testBackend(t)
-	ts, err := NewTrajectorySampler(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := ghz(4)
-	d, err := ts.SampleCtx(context.Background(), c, 0, 400, mathx.NewRNG(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Total() != 400 {
-		t.Fatalf("total %v", d.Total())
-	}
-	// Dominant mass on the GHZ pair.
-	if d.Prob(0)+d.Prob(0b1111) < 0.7 {
-		t.Errorf("GHZ mass %v too low", d.Prob(0)+d.Prob(0b1111))
-	}
-	if _, err := ts.SampleCtx(context.Background(), c, 0, 0, mathx.NewRNG(1)); err == nil {
-		t.Error("zero shots should error")
-	}
-	if _, err := ts.SampleCtx(context.Background(), circuit.New("wide", 15).H(0), 0, 10, mathx.NewRNG(1)); err == nil {
-		t.Error("over-wide should error")
-	}
-	if _, err := NewTrajectorySampler(nil); err == nil {
-		t.Error("nil backend should error")
-	}
-}
-
 func TestActiveTwoQubitGraph(t *testing.T) {
 	c := circuit.New("g", 4).CX(0, 1).CX(1, 2).CX(0, 1).CCX(0, 2, 3)
 	adj := activeTwoQubitGraph(c)

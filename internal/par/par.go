@@ -197,8 +197,8 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	metWorkerBusyMin.Set(busyMin)
 	metWorkerBusyAvg.Set(busyMean)
 	metWorkerBusyMax.Set(busyMax)
-	// Enabled-gated: the variadic args box on every call otherwise, which
-	// alone would break the trajectory sampler's steady-state alloc pin.
+	// Enabled-gated: the variadic args box on every call otherwise, an
+	// allocation per fan-out on the kernel hot paths.
 	if l := obs.Logger(); l.Enabled(ctx, slog.LevelDebug) {
 		l.Debug("parallel batch done",
 			"tasks", n, "workers", workers, "elapsed", stats.Elapsed,

@@ -36,23 +36,3 @@ func TestRunProgramAllocationFree(t *testing.T) {
 		t.Fatalf("RunProgram allocates %v per replay", n)
 	}
 }
-
-// TestApplyCompiledAllocationFree pins the per-gate replay primitive the
-// trajectory sampler leans on for Pauli injections.
-func TestApplyCompiledAllocationFree(t *testing.T) {
-	s, err := NewBasis(context.Background(), 6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetWorkers(1)
-	tbl := NewPauliOps(6)
-	if n := testing.AllocsPerRun(100, func() {
-		for q := 0; q < 6; q++ {
-			s.ApplyCompiled(tbl[q][0])
-			s.ApplyCompiled(tbl[q][1])
-			s.ApplyCompiled(tbl[q][2])
-		}
-	}); n != 0 {
-		t.Fatalf("ApplyCompiled allocates %v per 18-gate burst", n)
-	}
-}

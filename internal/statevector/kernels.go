@@ -499,7 +499,7 @@ func (s *State) resolveWorkers(space int) int {
 // The sharded branch lives in applyOpPar: its fan-out closure captures
 // the op, and were it written inline, escape analysis would move the op
 // parameter to the heap for *every* call — one allocation per gate on
-// the serial path that the trajectory sampler's zero-alloc pin forbids.
+// the serial path that RunProgram's zero-alloc pin forbids.
 // The //qbeep:allocfree directive makes the gcfacts gate reject any
 // refactor that merges the branch back in.
 //

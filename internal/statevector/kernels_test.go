@@ -112,9 +112,9 @@ func TestKernelMatchesOracleBitwise(t *testing.T) {
 	}
 }
 
-// TestApplyMatchesOracleBitwise covers the public single-gate path (used
-// by the trajectory sampler) against the oracle for each kind in
-// isolation, from a random superposition so no amplitude is trivially 0.
+// TestApplyMatchesOracleBitwise covers the public single-gate path
+// (State.Apply) against the oracle for each kind in isolation, from a
+// random superposition so no amplitude is trivially 0.
 func TestApplyMatchesOracleBitwise(t *testing.T) {
 	const n = 5
 	rng := mathx.NewRNG(77)

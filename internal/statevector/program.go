@@ -3,9 +3,7 @@
 // A Program is the reusable form of what RunConfiguredCtx previously
 // rebuilt on every call: the circuit's gate list lowered (and, unless
 // disabled, fused) into kernel ops once, replayable onto any State of
-// the same width with RunProgram — the trajectory sampler replays one
-// Program per shot instead of re-deriving per-gate kernels 100× per
-// batch.
+// the same width with RunProgram.
 //
 // Tiled replay (RunProgramTiled) is the cache-blocking transform: where
 // a run of consecutive ops all act on qubits below the tile width, the
@@ -187,53 +185,4 @@ func opShift(o op) uint {
 	default:
 		return 0
 	}
-}
-
-// CompiledOp is one pre-lowered gate application, opaque to callers.
-// Compiling a gate once and replaying it with ApplyCompiled skips the
-// per-call lowering (and its allocations) of State.Apply.
-type CompiledOp struct {
-	o op
-}
-
-// CompileGate lowers one gate for a width-n register into a reusable
-// CompiledOp. No-op gates (I, barriers, measurements) compile to an op
-// that ApplyCompiled ignores.
-func CompileGate(n int, g circuit.Gate) (CompiledOp, error) {
-	if err := g.Validate(n); err != nil {
-		return CompiledOp{}, err
-	}
-	o, err := gateOp(g)
-	if err != nil {
-		return CompiledOp{}, err
-	}
-	return CompiledOp{o: o}, nil
-}
-
-// ApplyCompiled applies a pre-lowered gate. The caller is responsible
-// for width agreement (CompileGate validated it once).
-//
-//qbeep:allocfree
-//qbeep:mustinline
-func (s *State) ApplyCompiled(co CompiledOp) {
-	s.applyOp(co.o)
-}
-
-// NewPauliOps returns the per-qubit Pauli injection table for a width-n
-// register: element [q][k] applies X (k=0), Y (k=1) or Z (k=2) on qubit
-// q. The trajectory sampler indexes this table instead of allocating a
-// circuit.Gate{Qubits: []int{q}} per injection.
-func NewPauliOps(n int) [][3]CompiledOp {
-	tbl := make([][3]CompiledOp, n)
-	for q := 0; q < n; q++ {
-		tbl[q][0] = CompiledOp{o: op{kind: opFlip, q0: q}}
-		tbl[q][1] = CompiledOp{o: op{
-			kind:  opDense1,
-			class: classAxial,
-			q0:    q,
-			m:     [2][2]complex128{{0, -1i}, {1i, 0}},
-		}}
-		tbl[q][2] = CompiledOp{o: op{kind: opDiag1, q0: q, d0: 1, d1: -1}}
-	}
-	return tbl
 }

@@ -76,7 +76,7 @@ func TestRunProgramFusedMatchesOracle(t *testing.T) {
 }
 
 // TestProgramReplayIsReusable pins that one Program replayed many times
-// (the trajectory sampler's usage) never drifts: every replay from the
+// never drifts: every replay from the
 // same init is bitwise identical, including replays interleaved with
 // runs from other inits.
 func TestProgramReplayIsReusable(t *testing.T) {
@@ -179,32 +179,6 @@ func TestRunProgramWidthMismatch(t *testing.T) {
 	}
 	if err := s.RunProgramTiled(p, 4); err == nil {
 		t.Fatal("RunProgramTiled accepted a width-3 program on a width-4 state")
-	}
-}
-
-// TestPauliOpsMatchGates pins the injection table against the general
-// gate path: each table entry is bitwise identical to applying the
-// corresponding Pauli gate.
-func TestPauliOpsMatchGates(t *testing.T) {
-	const n = 6
-	rng := mathx.NewRNG(99)
-	prep := randomCircuit(n, 30, rng)
-	tbl := NewPauliOps(n)
-	kinds := []circuit.Kind{circuit.X, circuit.Y, circuit.Z}
-	for q := 0; q < n; q++ {
-		for k := 0; k < 3; k++ {
-			want := naiveRunFrom(t, prep, 0)
-			if err := want.Apply(circuit.Gate{Kind: kinds[k], Qubits: []int{q}}); err != nil {
-				t.Fatal(err)
-			}
-			got := naiveRunFrom(t, prep, 0)
-			got.ApplyCompiled(tbl[q][k])
-			for i := range want.amp {
-				if got.amp[i] != want.amp[i] {
-					t.Fatalf("pauli[%d][%d] amp[%d]: table %v gate %v", q, k, i, got.amp[i], want.amp[i])
-				}
-			}
-		}
 	}
 }
 

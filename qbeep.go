@@ -70,11 +70,6 @@ type Options struct {
 	// (the default) keeps the paper's fixed schedule and is bitwise
 	// identical to it.
 	ConvergeTol float64
-	// TopK, when positive, sparsifies the state graph to each vertex's k
-	// heaviest incident edges — the opt-in approximate mode, trading a
-	// small (tested) Hellinger deviation from the exact engine for
-	// bounded degree on dense spectra. Zero keeps the exact graph.
-	TopK int
 	// OnQuality, when non-nil, receives the end-of-run QualityStats once
 	// the mitigation loop finishes. It is called synchronously, after the
 	// last iteration and before Mitigate returns.
@@ -117,7 +112,6 @@ func MitigateCtx(ctx context.Context, counts Counts, lambda float64, opts Option
 		Epsilon:     opts.Epsilon,
 		OnIteration: opts.OnIteration,
 		ConvergeTol: opts.ConvergeTol,
-		TopK:        opts.TopK,
 		OnQuality:   opts.OnQuality,
 	})
 	if err != nil {
@@ -150,7 +144,6 @@ func MitigateTrackedCtx(ctx context.Context, counts Counts, lambda float64, opts
 		Epsilon:     opts.Epsilon,
 		OnIteration: opts.OnIteration,
 		ConvergeTol: opts.ConvergeTol,
-		TopK:        opts.TopK,
 		OnQuality:   opts.OnQuality,
 	}, idealDist)
 	if err != nil {
