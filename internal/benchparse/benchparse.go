@@ -221,6 +221,13 @@ var KnownRatios = map[string]RatioDef{
 		Slow: "BenchmarkStateGraphStep/dense_n15_lambda2.6_edges",
 		Fast: "BenchmarkStateGraphStep/dense_n15_lambda2.6",
 	},
+	// The sparse-wide job's graph build (10⁵ strings over 26 qubits,
+	// λ = 1) through the sphere walk and through the split-half scan
+	// the cost rule picks.
+	"build_split_speedup_sparse_wide": {
+		Slow: "BenchmarkBuildStateGraph/sparse_wide_sphere",
+		Fast: "BenchmarkBuildStateGraph/sparse_wide",
+	},
 }
 
 // KnownAllocInvariants maps derived allocs-per-op keys to the benchmark

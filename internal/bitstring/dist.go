@@ -73,7 +73,7 @@ func FromStringCounts(counts map[string]float64) (*Dist, error) {
 			return nil, fmt.Errorf("bitstring: negative count %v for outcome %q", c, s)
 		}
 		if d == nil {
-			d = NewDist(n)
+			d = NewDistCap(n, len(counts))
 		} else if n != d.n {
 			return nil, fmt.Errorf("bitstring: mixed widths %d and %d", d.n, n)
 		}

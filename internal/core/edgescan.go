@@ -17,15 +17,26 @@ package core
 //     hits through a direct value→vertex table; wide ones (up to
 //     sphereMaxWidth) binary-search the sorted value slice instead, so
 //     million-vertex corpora at n = 26 stay on the near-linear path;
+//   - split-half runs for wide sparse registers (up to splitMaxWidth):
+//     two strings within distance r agree to within ⌊r/2⌋ bits on their
+//     high half or to within r−1−⌊r/2⌋ bits on their low half, so each
+//     vertex compares only the vertices in the high-half and low-half
+//     runs around its own. Where runs are short — 10⁵ strings over 26
+//     qubits — that is a few hundred sequential candidates per vertex
+//     instead of ~1500 random probes into an L2-spilling 2ⁿ-bit bitmap;
+//   - a cost rule (scanEdges via choose) that estimates each strategy's
+//     work from the data — bucket candidate pairs, ball probes, split
+//     run occupancy — and runs the cheapest;
 //   - two-level sharding across internal/par workers: level 1 partitions
 //     the vertex set along data boundaries (top-bit groups for the
 //     sphere walk, popcount-histogram work quantiles for the bucket
-//     scan), level 2 splits heavy partitions into contiguous scan
-//     ranges. Workers drain tasks with per-worker packed-hit scratch,
-//     and per-task edge lists merge in ascending task order, so the edge
-//     array comes out in canonical ascending (a, b) order — bit-for-bit
-//     identical to the serial O(V²) scan for any strategy, any
-//     partitioning, and any worker count.
+//     scan, one partition for the split scan), level 2 splits heavy
+//     partitions into contiguous scan ranges. Workers drain tasks with
+//     per-worker packed-hit scratch, and per-task edge lists merge in
+//     ascending task order, so the edge array comes out in canonical
+//     ascending (a, b) order — bit-for-bit identical to the serial
+//     O(V²) scan for any strategy, any partitioning, and any worker
+//     count.
 //
 // The seed's serial scan survives in the tests as bruteScanEdges: the
 // randomized equivalence tests use it as the oracle, and
@@ -43,7 +54,7 @@ import (
 )
 
 // scanStrategy selects the edge-discovery algorithm. scanAuto picks by
-// estimated probe counts; the equivalence tests force each path.
+// estimated work; the equivalence tests force each path.
 type scanStrategy int
 
 const (
@@ -53,6 +64,9 @@ const (
 	// scanSphere walks the Hamming ball around each vertex and probes a
 	// presence bitmap. Requires n <= sphereMaxWidth.
 	scanSphere
+	// scanSplit scans the vertex runs that share a register half within
+	// the pigeonhole radius. Requires n <= splitMaxWidth.
+	scanSplit
 	// scanNone is reported when the graph cannot have edges (radius 0 or
 	// fewer than two vertices).
 	scanNone
@@ -67,6 +81,8 @@ func (s scanStrategy) String() string {
 		return "bucket"
 	case scanSphere:
 		return "sphere"
+	case scanSplit:
+		return "split"
 	case scanNone:
 		return "none"
 	case scanWHT:
@@ -85,6 +101,19 @@ const sphereLUTMaxWidth = 20
 // overwhelmingly-common miss in one load; only confirmed hits pay a
 // binary search over the sorted value slice for their vertex index.
 const sphereMaxWidth = 28
+
+// splitMaxWidth caps the split-half strategy: its two run-offset tables
+// hold 2^⌈n/2⌉+1 and 2^⌊n/2⌋+1 int32 entries, 4 MiB each at n = 40.
+const splitMaxWidth = 40
+
+// splitPerUnit is the calibrated cost of one split-scan work unit — a
+// candidate compared, a run header read, an offset-table entry filled —
+// against one wide-register sphere probe or bucket candidate, the unit
+// the other two strategies are costed in. A split candidate is a
+// sequential load, an XOR and a popcount inside a run; a wide sphere
+// probe is a random load into a 2ⁿ-bit bitmap that spills L2. DESIGN.md
+// §7 has the measurements behind the value.
+const splitPerUnit = 1.0
 
 // scanSerialThreshold: scans expected to probe fewer candidates than this
 // stay on one goroutine — fan-out overhead would dominate the work.
@@ -139,6 +168,9 @@ type edgeScanner struct {
 	bucketStart []int32 // len n+2
 	bucketIdx   []int32 // len nV
 	hitEst      float64 // expected edges per vertex (uniform-corpus estimate)
+	// Work estimates in wide-probe units: bucket-scan candidate pairs and
+	// sphere-walk probes.
+	bucketCand, sphereProbes int64
 	// Sphere strategy only. seen is a presence bitmap probed on every
 	// ball position: at 2^n bits it stays L1-resident (8 KiB at n = 16)
 	// where an index table does not, and the overwhelming majority of
@@ -158,33 +190,30 @@ type edgeScanner struct {
 	// nothing per probe. Across visited groups the probed values ascend
 	// (higher top bit ⇒ larger u), so only within-group hits need sorting.
 	masks [][]uint64
-}
-
-// bucket returns popcount bucket w's node indices, ascending.
-func (sc *edgeScanner) bucket(w int) []int32 {
-	return sc.bucketIdx[sc.bucketStart[w]:sc.bucketStart[w+1]]
+	// Split strategy only. A value splits into its high half (the top
+	// n−loBits bits) and its low half (the bottom loBits). Values ascend
+	// with node index, so the vertices sharing high half h are the
+	// contiguous index run [hiStart[h], hiStart[h+1]). The low-half runs
+	// are loEnt[loStart[l]:loStart[l+1]], one packed hb<<32 | index entry
+	// per vertex with low half l, ascending. hiBall and loBall are the
+	// half-width XOR deltas of weight <= hiRad and <= radius−1−hiRad,
+	// packed delta<<8 | weight, the zero delta first.
+	loBits           uint
+	hiRad            int
+	hiBall, loBall   []uint64
+	hiStart, loStart []int32
+	loEnt            []uint64
+	splitWork        int64 // estimated work units of the split scan (splitUnits)
 }
 
 // ballMasks enumerates every nonzero string with popcount <= radius over
-// n bits, packed delta<<8 | popcount and grouped by top set bit. Group
-// sizes are known in closed form (top bit t contributes Σ_{d≤r} C(t,d−1)
-// deltas), so all groups share one exactly-sized arena — two allocations
-// total instead of O(n·log group) append growth. Runs once per scan; the
-// per-vertex hot loop just XORs these into the vertex value.
+// n bits, packed delta<<8 | popcount and grouped by top set bit. The
+// groups together hold the ball minus its centre, so they share one
+// exactly-sized arena — two allocations total instead of O(n·log group)
+// append growth. Runs once per scan; the per-vertex hot loop just XORs
+// these into the vertex value.
 func ballMasks(n, radius int) [][]uint64 {
-	total := 0
-	for t := 0; t < n; t++ {
-		c := 1 // C(t, d-1), starting at d = 1
-		for d := 1; d <= radius; d++ {
-			total += c
-			if d <= t {
-				c = c * (t - d + 1) / d
-			} else {
-				c = 0
-			}
-		}
-	}
-	arena := make([]uint64, 0, total)
+	arena := make([]uint64, 0, ballCount(n, radius)-1)
 	masks := make([][]uint64, n)
 	var rec func(delta uint64, top, start, depth int)
 	rec = func(delta uint64, top, start, depth int) {
@@ -205,6 +234,129 @@ func ballMasks(n, radius int) [][]uint64 {
 		masks[t] = arena[base:len(arena):len(arena)]
 	}
 	return masks
+}
+
+// ballCount is the size of the radius-r Hamming ball over w bits,
+// centre included: Σ_{k<=r} C(w, k).
+func ballCount(w, r int) int64 {
+	var size int64
+	for k := 0; k <= r && k <= w; k++ {
+		size += int64(bitstring.SphereSize(w, k))
+	}
+	return size
+}
+
+// halfBall enumerates the w-bit XOR deltas of popcount <= radius, packed
+// delta<<8 | popcount: zero first, then each weight in ascending order
+// (Gosper's next-combination step).
+func halfBall(w, radius int) []uint64 {
+	out := make([]uint64, 1, ballCount(w, radius))
+	for k := 1; k <= radius && k <= w; k++ {
+		for x := uint64(1)<<uint(k) - 1; x < 1<<uint(w); {
+			out = append(out, x<<8|uint64(k))
+			c := x & -x
+			r := x + c
+			x = (r^x)>>2/c | r
+		}
+	}
+	return out
+}
+
+// splitTables sizes the split scan: the half balls and the two run-offset
+// tables (counting-sort boundaries), plus the work estimate splitUnits
+// reads from them. The low-half entries are filled by splitIndex.
+//
+// The split scan rests on a pigeonhole fact: if two strings are within
+// distance r, their high halves differ in at most hiRad = ⌊r/2⌋ bits or
+// their low halves differ in at most r−1−hiRad bits (dh + dl <= r and
+// dh > hiRad leave dl <= r−1−hiRad). So every edge (a, b) is found
+// either among the high-half runs at XOR deltas of weight <= hiRad, or
+// among the low-half runs at deltas of weight <= r−1−hiRad with the
+// high halves more than hiRad apart — never both.
+func (sc *edgeScanner) splitTables() {
+	lb := uint(sc.n / 2)
+	sc.loBits = lb
+	sc.hiRad = sc.radius / 2
+	sc.hiBall = halfBall(sc.n-int(lb), sc.hiRad)
+	sc.loBall = halfBall(int(lb), sc.radius-1-sc.hiRad)
+	hi := make([]int32, 1<<(uint(sc.n)-lb)+1)
+	lo := make([]int32, 1<<lb+1)
+	loMask := bitstring.BitString(1)<<lb - 1
+	for _, v := range sc.vals {
+		hi[v>>lb+1]++
+		lo[v&loMask+1]++
+	}
+	for h := 1; h < len(hi); h++ {
+		hi[h] += hi[h-1]
+	}
+	for l := 1; l < len(lo); l++ {
+		lo[l] += lo[l-1]
+	}
+	sc.hiStart, sc.loStart = hi, lo
+	sc.splitWork = sc.splitUnits()
+}
+
+// splitHeaderUnits is the split scan's data-independent work: one run
+// header per (vertex, half-ball delta) and one per offset-table entry.
+func (sc *edgeScanner) splitHeaderUnits(hiBall, loBall int64) int64 {
+	lb := sc.n / 2
+	return int64(len(sc.vals))*(hiBall+loBall) + 1<<uint(sc.n-lb) + 1<<uint(lb) + 2
+}
+
+// splitUnits estimates the split scan's work from the run-offset tables:
+// the header units plus every candidate pair it compares. Within a run a
+// vertex compares the members past it; across the runs x < x^delta of a
+// delta the scan compares (about) each cross pair once.
+func (sc *edgeScanner) splitUnits() int64 {
+	var cand int64
+	runs := func(start []int32, ball []uint64) {
+		for x := 0; x+1 < len(start); x++ {
+			c := int64(start[x+1] - start[x])
+			if c == 0 {
+				continue
+			}
+			cand += c * (c - 1) / 2
+			for _, m := range ball[1:] {
+				if u := x ^ int(m>>8); u > x {
+					cand += c * int64(start[u+1]-start[u])
+				}
+			}
+		}
+	}
+	runs(sc.hiStart, sc.hiBall)
+	runs(sc.loStart, sc.loBall)
+	return cand + sc.splitHeaderUnits(int64(len(sc.hiBall)), int64(len(sc.loBall)))
+}
+
+// splitCheaper reports whether the split scan's estimated cost undercuts
+// best, the cheapest other strategy's, in wide-probe units. The header
+// units alone settle a loss before any table is allocated.
+func (sc *edgeScanner) splitCheaper(best int64) bool {
+	lb, hiRad := sc.n/2, sc.radius/2
+	if splitPerUnit*float64(sc.splitHeaderUnits(ballCount(sc.n-lb, hiRad), ballCount(lb, sc.radius-1-hiRad))) >= float64(best) {
+		return false
+	}
+	sc.splitTables()
+	return splitPerUnit*float64(sc.splitWork) < float64(best)
+}
+
+// splitIndex fills the low-half runs by counting sort over the ascending
+// values, so each run's entries ascend by node index (and high half).
+// Each entry packs the vertex's high half above its index. The fill
+// advances loStart[l] to the end of run l; shifting the table up one slot
+// restores the run starts.
+func (sc *edgeScanner) splitIndex() {
+	lb := sc.loBits
+	loMask := bitstring.BitString(1)<<lb - 1
+	lo := sc.loStart
+	sc.loEnt = make([]uint64, len(sc.vals))
+	for i, v := range sc.vals {
+		l := v & loMask
+		sc.loEnt[lo[l]] = uint64(v>>lb)<<32 | uint64(i)
+		lo[l]++
+	}
+	copy(lo[1:], lo[:len(lo)-1])
+	lo[0] = 0
 }
 
 // scanTask is one unit of parallel edge discovery: a contiguous vertex
@@ -239,7 +391,8 @@ type scanResult struct {
 // planScanTasks builds the two-level decomposition of [0, nV). Level 1
 // partitions the vertex set along data boundaries: the sphere walk cuts
 // at top-bit-group edges (values ascend with node index, so each group
-// is contiguous), the bucket scan at popcount-histogram work quantiles.
+// is contiguous), the bucket scan at popcount-histogram work quantiles;
+// the split scan keeps one partition.
 // Level 2 splits partitions whose estimated share of the scan exceeds an
 // even grain into contiguous sub-ranges, so the par queue can balance
 // skewed partitions. Every task stays in ascending vertex order, which
@@ -261,7 +414,8 @@ func (sc *edgeScanner) planScanTasks(strat scanStrategy, workers int) []scanTask
 
 	var parts []scanTask
 	var workPrefix []float64
-	if strat == scanSphere {
+	switch strat {
+	case scanSphere:
 		lo := 0
 		for i := 1; i <= nV; i++ {
 			if i == nV || bits.Len64(uint64(sc.vals[i])) != bits.Len64(uint64(sc.vals[lo])) {
@@ -269,7 +423,12 @@ func (sc *edgeScanner) planScanTasks(strat scanStrategy, workers int) []scanTask
 				lo = i
 			}
 		}
-	} else {
+	case scanSplit:
+		// A split-scan vertex's work is the occupancy of the runs around
+		// its halves, which does not trend with its index: one partition,
+		// cut evenly below.
+		parts = []scanTask{{0, nV}}
+	default:
 		// A bucket-scan vertex's candidate count is its popcount window's
 		// total occupancy, so the prefix sum of per-vertex window sizes
 		// cuts equal-work partitions no matter how skewed the weight
@@ -370,21 +529,12 @@ func cutByWork(prefix []float64, lo, hi, k int) []scanTask {
 	return out
 }
 
-// scanEdges discovers every thresholded edge. The returned slice is in
-// canonical ascending (a, b) order regardless of strategy, partitioning,
-// or worker count; pruned counts candidate pairs within the radius
-// dropped by ε, matching the serial scan's accounting exactly. deg holds
-// vertex i's degree at index i+1 — tallied while the edges materialize,
-// so buildCSR can skip its counting pass.
-func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, tab weightTable, workers int, strat scanStrategy) (edges []edge, deg []int32, pruned int, used scanStrategy) {
-	nV := len(vals)
-	if radius <= 0 || nV < 2 {
-		return nil, make([]int32, nV+1), 0, scanNone
-	}
+// newEdgeScanner sizes one discovery run: the popcount histogram,
+// prefix-summed into the flat bucket boundaries, and the work estimates
+// of the bucket scan and the sphere walk that the strategy choice reads.
+// The bucket index itself is filled only if that strategy runs.
+func newEdgeScanner(vals []bitstring.BitString, n, radius int, tab weightTable) *edgeScanner {
 	sc := &edgeScanner{vals: vals, n: n, radius: radius, tab: tab}
-	// Flat buckets by counting sort: the histogram prefix sum is the
-	// bucket boundary array, and scanning vals in index order keeps each
-	// bucket's node indices ascending.
 	hist := make([]int32, n+2)
 	for _, v := range vals {
 		hist[v.Weight()+1]++
@@ -393,60 +543,69 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 		hist[w+1] += hist[w]
 	}
 	sc.bucketStart = hist
-	sc.bucketIdx = make([]int32, nV)
-	fill := make([]int32, n+1)
-	copy(fill, hist[:n+1])
-	for i, v := range vals {
-		w := v.Weight()
-		sc.bucketIdx[fill[w]] = int32(i)
-		fill[w]++
-	}
-
-	// Candidate estimates drive both the strategy choice and the
-	// serial-vs-parallel decision.
-	var bucketCand int64
+	size := func(w int) int64 { return int64(hist[w+1] - hist[w]) }
 	for wa := 0; wa <= n; wa++ {
-		la := int64(len(sc.bucket(wa)))
+		la := size(wa)
 		if la == 0 {
 			continue
 		}
 		for wb := wa; wb <= n && wb-wa <= radius; wb++ {
 			if wb == wa {
 				if radius >= 2 { // same-weight pairs differ in >= 2 bits
-					bucketCand += la * (la - 1) / 2
+					sc.bucketCand += la * (la - 1) / 2
 				}
 				continue
 			}
-			bucketCand += la * int64(len(sc.bucket(wb)))
+			sc.bucketCand += la * size(wb)
 		}
 	}
-	var ballSize int64
-	for d := 1; d <= radius && d <= n; d++ {
-		ballSize += int64(bitstring.SphereSize(n, d))
-	}
+	ballSize := ballCount(n, radius) - 1
+	// The walk probes half the ball per vertex (top-bit grouping).
+	sc.sphereProbes = int64(len(vals)) * ballSize / 2
 	// Expected hits per vertex under a uniform corpus — presizes the hit
 	// buffers so discovery appends rarely reallocate. Clustered corpora
 	// exceed it and fall back to append growth.
-	sc.hitEst = 0.5 * float64(ballSize) * math.Ldexp(float64(nV), -n)
-	if strat == scanAuto {
-		strat = scanBucket
-		if n <= sphereLUTMaxWidth && int64(nV)*ballSize/2 < 2*bucketCand {
-			// The walk probes half the ball per vertex (top-bit grouping),
-			// and a probe — XOR plus one L1-resident bitmap load — costs
+	sc.hitEst = 0.5 * float64(ballSize) * math.Ldexp(float64(len(vals)), -n)
+	return sc
+}
+
+// choose resolves scanAuto to the strategy of least estimated work, and
+// a forced strategy past its width cap to the bucket scan.
+func (sc *edgeScanner) choose(strat scanStrategy) scanStrategy {
+	n := sc.n
+	switch {
+	case strat == scanAuto:
+		if n <= sphereLUTMaxWidth {
+			// A probe — XOR plus one L1-resident bitmap load — costs
 			// about half a bucket candidate (random value fetch plus
 			// popcount).
-			strat = scanSphere
-		} else if n > sphereLUTMaxWidth && n <= sphereMaxWidth && int64(nV)*ballSize/2 < bucketCand {
-			// Wide registers: the bitmap spills L1, so a probe costs
-			// about one bucket candidate.
-			strat = scanSphere
+			if sc.sphereProbes < 2*sc.bucketCand {
+				return scanSphere
+			}
+			return scanBucket
 		}
-	} else if strat == scanSphere && n > sphereMaxWidth {
-		strat = scanBucket
+		// Wide registers: the bitmap spills L1, so a probe costs about
+		// one bucket candidate, and the split scan competes with both.
+		pick, best := scanBucket, sc.bucketCand
+		if n <= sphereMaxWidth && sc.sphereProbes < best {
+			pick, best = scanSphere, sc.sphereProbes
+		}
+		if n <= splitMaxWidth && sc.splitCheaper(best) {
+			pick = scanSplit
+		}
+		return pick
+	case strat == scanSphere && n > sphereMaxWidth, strat == scanSplit && n > splitMaxWidth:
+		return scanBucket
 	}
-	cand := bucketCand
-	if strat == scanSphere {
-		cand = int64(nV) * ballSize / 2
+	return strat
+}
+
+// prepare builds the index strat scans and returns its work estimate,
+// which sets the serial-vs-parallel decision.
+func (sc *edgeScanner) prepare(strat scanStrategy) int64 {
+	vals, n := sc.vals, sc.n
+	switch strat {
+	case scanSphere:
 		sc.seen = make([]uint64, (1<<uint(n)+63)/64)
 		if n <= sphereLUTMaxWidth {
 			sc.lut = make([]int32, 1<<uint(n))
@@ -459,8 +618,42 @@ func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, t
 				sc.seen[v>>6] |= 1 << (v & 63)
 			}
 		}
-		sc.masks = ballMasks(n, radius)
+		sc.masks = ballMasks(n, sc.radius)
+		return sc.sphereProbes
+	case scanSplit:
+		if sc.hiStart == nil {
+			sc.splitTables()
+		}
+		sc.splitIndex()
+		return sc.splitWork
 	}
+	// Flat buckets by counting sort: scanning vals in index order keeps
+	// each bucket's node indices ascending.
+	sc.bucketIdx = make([]int32, len(vals))
+	fill := make([]int32, n+1)
+	copy(fill, sc.bucketStart[:n+1])
+	for i, v := range vals {
+		w := v.Weight()
+		sc.bucketIdx[fill[w]] = int32(i)
+		fill[w]++
+	}
+	return sc.bucketCand
+}
+
+// scanEdges discovers every thresholded edge. The returned slice is in
+// canonical ascending (a, b) order regardless of strategy, partitioning,
+// or worker count; pruned counts candidate pairs within the radius
+// dropped by ε, matching the serial scan's accounting exactly. deg holds
+// vertex i's degree at index i+1 — tallied while the edges materialize,
+// so buildCSRCounted needs no counting pass over the edges.
+func scanEdges(ctx context.Context, vals []bitstring.BitString, n, radius int, tab weightTable, workers int, strat scanStrategy) (edges []edge, deg []int32, pruned int, used scanStrategy) {
+	nV := len(vals)
+	if radius <= 0 || nV < 2 {
+		return nil, make([]int32, nV+1), 0, scanNone
+	}
+	sc := newEdgeScanner(vals, n, radius, tab)
+	strat = sc.choose(strat)
+	cand := sc.prepare(strat)
 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -549,6 +742,9 @@ func (sc *edgeScanner) scanRange(t scanTask, strat scanStrategy, s *scanScratch,
 	// proving the fields loop-invariant, and these are the two hottest
 	// loops in the pipeline.
 	vals, tab, radius := sc.vals, sc.tab.perString, sc.radius
+	if strat == scanSplit {
+		return sc.splitRange(t, s, starts)
+	}
 	if strat == scanSphere {
 		seen, lut, masks := sc.seen, sc.lut, sc.masks
 		// idxOf resolves a confirmed hit to its node index: direct table
@@ -670,6 +866,82 @@ func (sc *edgeScanner) scanRange(t scanTask, strat scanStrategy, s *scanScratch,
 					continue
 				}
 				hits = append(hits, uint64(j)<<8|uint64(d))
+			}
+		}
+		if len(hits)-seg > 24 {
+			slices.Sort(hits[seg:])
+		} else {
+			sortPacked(hits[seg:])
+		}
+		starts[a-lo+1] = int32(len(hits))
+	}
+	s.hits = hits
+	return pruned
+}
+
+// splitRange is scanRange for the split-half strategy: per vertex a, the
+// high-half runs within hiRad, then the low-half runs within
+// radius−1−hiRad (see splitTables for the pigeonhole argument).
+func (sc *edgeScanner) splitRange(t scanTask, s *scanScratch, starts []int32) int {
+	lo, hi := t.lo, t.hi
+	pruned := 0
+	hits := s.hits
+	starts[0] = 0
+	vals, tab, radius := sc.vals, sc.tab.perString, sc.radius
+	lb, hiRad := sc.loBits, sc.hiRad
+	hiStart, loStart, loEnt, hiBall, loBall := sc.hiStart, sc.loStart, sc.loEnt, sc.hiBall, sc.loBall
+	loMask := bitstring.BitString(1)<<lb - 1
+	for a := lo; a < hi; a++ {
+		va := vals[a]
+		ha, la := va>>lb, va&loMask
+		seg := len(hits)
+		// High-half runs within hiRad. A lower run holds only b < a, and
+		// a's own run (the zero delta) starts just past a.
+		for _, m := range hiBall {
+			h := ha ^ bitstring.BitString(m>>8)
+			if h < ha {
+				continue
+			}
+			b, end := int(hiStart[h]), int(hiStart[h+1])
+			if h == ha {
+				b = a + 1
+			}
+			for ; b < end; b++ {
+				d := bits.OnesCount64(uint64(va ^ vals[b]))
+				if d > radius {
+					continue
+				}
+				if tab[d] == 0 {
+					pruned++
+					continue
+				}
+				hits = append(hits, uint64(b)<<8|uint64(d))
+			}
+		}
+		// Low-half runs, keeping only the pairs whose high halves differ
+		// in more than hiRad bits (the rest were found above). Those
+		// halves differ, so b > a iff hb > ha: walk each run down from
+		// its top and stop at the first entry whose high half is at or
+		// below a's.
+		for _, m := range loBall {
+			l := la ^ bitstring.BitString(m>>8)
+			dl := int(m & 0xff)
+			run := loEnt[loStart[l]:loStart[l+1]]
+			for k := len(run) - 1; k >= 0; k-- {
+				e := run[k]
+				hb := bitstring.BitString(e >> 32)
+				if hb <= ha {
+					break
+				}
+				dh := bits.OnesCount64(uint64(ha ^ hb))
+				if dh <= hiRad || dh+dl > radius {
+					continue
+				}
+				if tab[dh+dl] == 0 {
+					pruned++
+					continue
+				}
+				hits = append(hits, uint64(uint32(e))<<8|uint64(dh+dl))
 			}
 		}
 		if len(hits)-seg > 24 {

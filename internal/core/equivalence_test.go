@@ -110,7 +110,7 @@ func sameDist(t *testing.T, label string, want, got *bitstring.Dist) {
 	}
 }
 
-// TestScanMatchesBruteOracle drives both discovery strategies and the
+// TestScanMatchesBruteOracle drives every discovery strategy and the
 // full worker matrix against the seed's serial O(V²) scan on randomized
 // inputs across widths 4–16, asserting bit-for-bit identical edge sets,
 // weights, pruned counts, and CSR layout.
@@ -144,7 +144,7 @@ func TestScanMatchesBruteOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ref *StateGraph // first engine variant; the rest must match it fully
-			for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere} {
+			for _, strat := range []scanStrategy{scanAuto, scanBucket, scanSphere, scanSplit} {
 				for _, w := range workers {
 					label := fmt.Sprintf("n=%d %s strat=%s workers=%d", c.n, kind, strat, w)
 					g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: c.lambda}, 0.05, w, strat, true)
@@ -173,7 +173,7 @@ func TestScanMatchesOracleHAMMERWeighter(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref *StateGraph
-	for _, strat := range []scanStrategy{scanBucket, scanSphere} {
+	for _, strat := range []scanStrategy{scanBucket, scanSphere, scanSplit} {
 		g, err := buildStateGraphCtx(context.Background(), raw, InverseDistanceEdges{}, 0.05, 4, strat, true)
 		if err != nil {
 			t.Fatal(err)

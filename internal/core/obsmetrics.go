@@ -14,6 +14,7 @@ var (
 	// edgescan.go was selected.
 	metGraphScanBucket = obs.Default.Counter("core.graph.scan_bucket")
 	metGraphScanSphere = obs.Default.Counter("core.graph.scan_sphere")
+	metGraphScanSplit  = obs.Default.Counter("core.graph.scan_split")
 
 	metMitigateRuns  = obs.Default.Counter("core.mitigate.runs")
 	metMitigateIters = obs.Default.Counter("core.mitigate.iterations")

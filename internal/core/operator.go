@@ -267,9 +267,5 @@ func pairCounts(vals []bitstring.BitString, n int) []int64 {
 // half of each vertex's Hamming ball. Past whtMaxWidth the products may
 // overflow, but chooseOperator rejects those widths without reading it.
 func edgeUpperBound(n, nV, radius int) int {
-	ball := 0
-	for d := 1; d <= radius && d <= n; d++ {
-		ball += int(bitstring.SphereSize(n, d))
-	}
-	return min(nV*(nV-1)/2, nV*ball/2)
+	return min(nV*(nV-1)/2, nV*int(ballCount(n, radius)-1)/2)
 }

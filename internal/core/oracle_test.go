@@ -54,6 +54,18 @@ func buildStateGraphBrute(counts *bitstring.Dist, w EdgeWeighter, eps float64) (
 	return g, nil
 }
 
+// buildCSR lays the oracle's vertex→incident-edge adjacency out from its
+// edge list: one counting pass, then the engine's buildCSRCounted. The
+// engine tallies degrees during the scan and never needs it.
+func (g *StateGraph) buildCSR() {
+	counts := make([]int32, len(g.nodes)+1)
+	for _, e := range g.edges {
+		counts[e.a+1]++
+		counts[e.b+1]++
+	}
+	g.buildCSRCounted(counts)
+}
+
 // stepOracle is the three-pass per-edge Step the two-product form
 // replaced, kept verbatim apart from its scratch: a z pass, a flow pass
 // that stores both directions of every edge, and a delta pass that

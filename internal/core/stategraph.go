@@ -153,18 +153,6 @@ func initStateGraph(counts *bitstring.Dist, w EdgeWeighter, eps float64) (*State
 	return g, vals
 }
 
-// buildCSR lays the vertex→incident-edge adjacency out as a flat CSR
-// pair: two counting passes, no per-vertex slices, no reallocation.
-func (g *StateGraph) buildCSR() {
-	nV := len(g.nodes)
-	counts := make([]int32, nV+1)
-	for _, e := range g.edges {
-		counts[e.a+1]++
-		counts[e.b+1]++
-	}
-	g.buildCSRCounted(counts)
-}
-
 // buildCSRCounted finishes the CSR layout from precomputed degrees
 // (vertex i's degree at index i+1 — the layout scanEdges tallies while
 // materializing edges, saving a counting pass over the edge list). Takes
@@ -197,9 +185,10 @@ func (g *StateGraph) buildCSRCounted(counts []int32) {
 // equally-likely landing sites. Without this normalization the
 // combinatorially-large middle shells would out-pull the true solution.
 //
-// Discovery is popcount-bucketed (or a Hamming-ball walk on narrow
-// registers) instead of the O(V²) pairwise scan — see edgescan.go — and
-// the output is bit-for-bit identical to that serial scan.
+// Discovery is a popcount-bucketed scan, a Hamming-ball walk or a
+// split-half run scan, whichever the cost rule estimates cheapest,
+// instead of the O(V²) pairwise scan — see edgescan.go — and the output
+// is bit-for-bit identical to that serial scan.
 //
 // workers caps the edge-scan worker count (<= 0 selects GOMAXPROCS). The
 // result is independent of the worker count: vertex ranges emit their
@@ -254,6 +243,8 @@ func buildStateGraphCtx(ctx context.Context, counts *bitstring.Dist, w EdgeWeigh
 		metGraphScanSphere.Inc()
 	case scanBucket:
 		metGraphScanBucket.Inc()
+	case scanSplit:
+		metGraphScanSplit.Inc()
 	}
 	sp.SetAttr("vertices", len(g.nodes))
 	sp.SetAttr("edges", g.numEdges)

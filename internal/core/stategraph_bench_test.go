@@ -34,30 +34,37 @@ func benchGraphDist(v int) *bitstring.Dist {
 }
 
 // BenchmarkBuildStateGraph measures the shipped edge-discovery engine
-// (bucketed / ball-walk, see edgescan.go). Compare with
+// (bucketed / ball-walk / split-half, see edgescan.go). Compare with
 // BenchmarkBuildStateGraphBrute for the speedup over the seed's O(V²)
 // scan.
 func BenchmarkBuildStateGraph(b *testing.B) {
 	for _, c := range benchGraphConfigs {
 		b.Run(fmt.Sprintf("V%d/lambda%g", c.v, c.lambda), func(b *testing.B) {
-			benchBuild(b, benchGraphDist(c.v), c.lambda)
+			benchBuild(b, benchGraphDist(c.v), c.lambda, scanAuto)
 		})
 	}
 	// The million-vertex track: V=10⁵ and V=10⁶ corpora through the
 	// partition-sharded discovery engine (the ROADMAP scaling row).
 	for _, c := range benchScaleConfigs {
 		b.Run(c.name, func(b *testing.B) {
-			benchBuild(b, benchScaleDist(c.n, c.v), c.lambda)
+			benchBuild(b, benchScaleDist(c.n, c.v), c.lambda, scanAuto)
 		})
 	}
+	// The sparse-wide benchmark job's corpus shape (10⁵ uniform strings
+	// over 26 qubits, λ = 1): the strategy the cost rule picks (split)
+	// and the sphere walk it replaced, whose quotient is the
+	// build_split_speedup_sparse_wide ratio bench-gate tracks.
+	sparseWide := benchScaleDist(26, 1e5)
+	b.Run("sparse_wide", func(b *testing.B) { benchBuild(b, sparseWide, 1, scanAuto) })
+	b.Run("sparse_wide_sphere", func(b *testing.B) { benchBuild(b, sparseWide, 1, scanSphere) })
 }
 
-func benchBuild(b *testing.B, raw *bitstring.Dist, lambda float64) {
+func benchBuild(b *testing.B, raw *bitstring.Dist, lambda float64, strat scanStrategy) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var edges int
 	for i := 0; i < b.N; i++ {
-		g, err := BuildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, 0.05, 0)
+		g, err := buildStateGraphCtx(context.Background(), raw, PoissonEdges{Lambda: lambda}, 0.05, 0, strat, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,30 +115,21 @@ func benchScaleDist(n, v int) *bitstring.Dist {
 }
 
 // BenchmarkMitigate is the end-to-end row (graph build + 20 flow
-// iterations + snapshot) at scale. V1e6 additionally gates an absolute wall-clock budget (mitigate_v1e6_seconds) — the
-// "mitigable in seconds" acceptance criterion.
+// iterations + snapshot) at a million vertices, gated as an absolute
+// wall-clock budget (mitigate_v1e6_seconds) — the "mitigable in
+// seconds" acceptance criterion.
 func BenchmarkMitigate(b *testing.B) {
-	cases := []struct {
-		name   string
-		n, v   int
-		lambda float64
-	}{
-		{"V1e5", 20, 1e5, 1},
-		{"V1e6", 26, 1e6, 0.8},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			raw := benchScaleDist(c.n, c.v)
-			opts := NewOptions()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := MitigateCtx(context.Background(), raw, c.lambda, opts); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("V1e6", func(b *testing.B) {
+		raw := benchScaleDist(26, 1e6)
+		opts := NewOptions()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := MitigateCtx(context.Background(), raw, 0.8, opts); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkStateGraphStep measures one reclassification iteration on a
